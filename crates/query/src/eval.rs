@@ -145,6 +145,16 @@ fn apply_slice(rows: Vec<Bindings>, offset: usize, limit: Option<usize>) -> Vec<
         .collect()
 }
 
+/// Drop repeated rows, keeping each first occurrence in order.
+fn distinct_rows(rows: Vec<Bindings>) -> Vec<Bindings> {
+    let mut seen: HashSet<&Bindings> = HashSet::with_capacity(rows.len());
+    let keep: Vec<bool> = rows.iter().map(|r| seen.insert(r)).collect();
+    rows.into_iter()
+        .zip(keep)
+        .filter_map(|(r, k)| k.then_some(r))
+        .collect()
+}
+
 /// Execute a pre-parsed query without a deadline.
 pub fn execute_query(graph: &Graph, query: &Query) -> QueryResult {
     execute_query_with_deadline(graph, query, &Deadline::never())
@@ -152,28 +162,50 @@ pub fn execute_query(graph: &Graph, query: &Query) -> QueryResult {
 }
 
 /// Execute a pre-parsed query under a cooperative deadline.
+///
+/// A SELECT (without aggregates) or ASK over one top-level BGP and
+/// without ORDER BY finishes in `TermId` space: projection, DISTINCT,
+/// OFFSET and LIMIT run on the joined id rows, and only the surviving
+/// projected cells become terms. Every other query runs on
+/// [`execute_query_on_bindings`].
 pub fn execute_query_with_deadline(
     graph: &Graph,
     query: &Query,
     deadline: &Deadline,
 ) -> Result<QueryResult, QueryError> {
-    let raw = eval_pattern(graph, &query.pattern, vec![Bindings::new()], deadline)?;
+    match id_space_bgp(query) {
+        Some(triples) => Ok(finish_in_id_space(graph, query, triples, deadline)?),
+        None => execute_query_on_bindings(graph, query, deadline),
+    }
+}
 
-    // Aggregate queries: grouping happens first; ORDER/OFFSET/LIMIT apply
-    // to the aggregated rows.
+/// The general evaluator: every solution becomes [`Bindings`] before the
+/// solution modifiers run, in SPARQL 1.1 §15 order (ORDER BY,
+/// projection, DISTINCT, OFFSET, LIMIT). It serves every query the
+/// id-space path does not take, and is the reference the id-space path
+/// is tested against.
+pub fn execute_query_on_bindings(
+    graph: &Graph,
+    query: &Query,
+    deadline: &Deadline,
+) -> Result<QueryResult, QueryError> {
+    let mut solutions = eval_pattern(graph, &query.pattern, vec![Bindings::new()], deadline)?;
+
+    // Aggregate queries: grouping happens first; the modifiers apply to
+    // the aggregated rows.
     if let QueryKind::Select {
-        vars, aggregates, ..
+        vars,
+        aggregates,
+        distinct,
     } = &query.kind
     {
         if !aggregates.is_empty() {
-            let QueryResult::Select {
-                vars: out_vars,
-                mut rows,
-            } = aggregate_select(vars, aggregates, &query.group_by, raw)
-            else {
-                unreachable!("aggregate_select returns Select");
-            };
+            let (out_vars, mut rows) =
+                aggregate_select(vars, aggregates, &query.group_by, solutions);
             apply_order(&mut rows, &query.order);
+            if *distinct {
+                rows = distinct_rows(rows);
+            }
             let rows = apply_slice(rows, query.offset, query.limit);
             return Ok(QueryResult::Select {
                 vars: out_vars,
@@ -182,17 +214,33 @@ pub fn execute_query_with_deadline(
         }
     }
 
-    // Non-aggregate path: modifiers apply to the solution sequence.
-    let mut solutions = raw;
     apply_order(&mut solutions, &query.order);
-    let solutions = apply_slice(solutions, query.offset, query.limit);
-
     Ok(match &query.kind {
-        QueryKind::Ask => QueryResult::Boolean(!solutions.is_empty()),
+        QueryKind::Ask => {
+            QueryResult::Boolean(!apply_slice(solutions, query.offset, query.limit).is_empty())
+        }
         QueryKind::Select { vars, distinct, .. } => {
+            // `SELECT *` keeps every binding; a projection keeps the
+            // listed variables a row binds.
+            let mut rows: Vec<Bindings> = if vars.is_empty() {
+                solutions
+            } else {
+                solutions
+                    .into_iter()
+                    .map(|b| {
+                        vars.iter()
+                            .filter_map(|v| b.get(v).map(|t| (v.clone(), t.clone())))
+                            .collect()
+                    })
+                    .collect()
+            };
+            if *distinct {
+                rows = distinct_rows(rows);
+            }
+            let rows = apply_slice(rows, query.offset, query.limit);
             let vars = if vars.is_empty() {
                 // SELECT *: every variable seen, sorted for determinism.
-                let mut all: Vec<String> = solutions
+                let mut all: Vec<String> = rows
                     .iter()
                     .flat_map(|b| b.keys().cloned())
                     .collect::<HashSet<_>>()
@@ -203,23 +251,11 @@ pub fn execute_query_with_deadline(
             } else {
                 vars.clone()
             };
-            let mut rows: Vec<Bindings> = solutions
-                .into_iter()
-                .map(|b| {
-                    vars.iter()
-                        .filter_map(|v| b.get(v).map(|t| (v.clone(), t.clone())))
-                        .collect()
-                })
-                .collect();
-            if *distinct {
-                let mut seen: HashSet<String> = HashSet::new();
-                rows.retain(|r| seen.insert(format!("{r:?}")));
-            }
             QueryResult::Select { vars, rows }
         }
         QueryKind::Construct { template } => {
             let mut g = Graph::new();
-            for b in &solutions {
+            for b in &apply_slice(solutions, query.offset, query.limit) {
                 for t in template {
                     let (Some(s), Some(p), Some(o)) = (
                         resolve(&t.subject, b),
@@ -238,6 +274,98 @@ pub fn execute_query_with_deadline(
     })
 }
 
+/// The BGP of a query the id-space path can finish: a SELECT without
+/// aggregates, or an ASK, over one non-empty top-level BGP and without
+/// ORDER BY.
+fn id_space_bgp(query: &Query) -> Option<&[TriplePattern]> {
+    let Pattern::Bgp(triples) = &query.pattern else {
+        return None;
+    };
+    let kind_fits = match &query.kind {
+        QueryKind::Select { aggregates, .. } => aggregates.is_empty(),
+        QueryKind::Ask => true,
+        QueryKind::Construct { .. } => false,
+    };
+    (kind_fits && query.order.is_empty() && !triples.is_empty()).then_some(triples.as_slice())
+}
+
+/// Finish a query accepted by [`id_space_bgp`] on the joined id rows.
+/// The modifiers run in the §15 order of [`execute_query_on_bindings`];
+/// DISTINCT compares id tuples, which is term equality because the graph
+/// interns each term once.
+fn finish_in_id_space(
+    graph: &Graph,
+    query: &Query,
+    triples: &[TriplePattern],
+    deadline: &Deadline,
+) -> Result<QueryResult, DeadlineExceeded> {
+    let table = join_bgp_ids(graph, triples, deadline)?;
+    let limit = query.limit.unwrap_or(usize::MAX);
+    let QueryKind::Select { vars, distinct, .. } = &query.kind else {
+        let survivors = table.rows.saturating_sub(query.offset).min(limit);
+        return Ok(QueryResult::Boolean(survivors > 0));
+    };
+    let star = vars.is_empty();
+    let names: Vec<String> = if star {
+        let mut all = table.vars.clone();
+        all.sort();
+        all
+    } else {
+        vars.clone()
+    };
+    // Projected cells a row binds: (name, column). A projected variable
+    // the BGP never mentions has no column and stays unbound.
+    let cells: Vec<(&String, usize)> = names
+        .iter()
+        .filter_map(|n| table.column_of(n).map(|c| (n, c)))
+        .collect();
+
+    let survivors: Vec<usize> = if *distinct {
+        let mut seen: HashSet<Vec<TermId>> = HashSet::new();
+        let mut skipped = 0;
+        let mut out = Vec::new();
+        for i in 0..table.rows {
+            if out.len() >= limit {
+                break;
+            }
+            let row = table.row(i);
+            if seen.insert(cells.iter().map(|&(_, c)| row[c]).collect()) {
+                if skipped < query.offset {
+                    skipped += 1;
+                } else {
+                    out.push(i);
+                }
+            }
+        }
+        out
+    } else {
+        let start = query.offset.min(table.rows);
+        (start..start.saturating_add(limit).min(table.rows)).collect()
+    };
+
+    let _span = grdf_obs::span("query.materialize");
+    let rows: Vec<Bindings> = survivors
+        .iter()
+        .map(|&i| {
+            let row = table.row(i);
+            // Inserting skips the sort buffer a `collect` builds per map.
+            let mut b = Bindings::new();
+            for &(n, c) in &cells {
+                b.insert(n.clone(), graph.term_of(row[c]).clone());
+            }
+            b
+        })
+        .collect();
+    // `SELECT *` lists the variables the surviving rows bind: all of the
+    // BGP's, or none when no row survives.
+    let vars = if star && rows.is_empty() {
+        Vec::new()
+    } else {
+        names
+    };
+    Ok(QueryResult::Select { vars, rows })
+}
+
 /// Grouped aggregation: partition solutions by the GROUP BY key (one
 /// global group when absent) and compute each aggregate per group.
 fn aggregate_select(
@@ -245,7 +373,7 @@ fn aggregate_select(
     aggregates: &[crate::ast::Aggregate],
     group_by: &[String],
     solutions: Vec<Bindings>,
-) -> QueryResult {
+) -> (Vec<String>, Vec<Bindings>) {
     use crate::ast::AggFunc;
     use std::collections::BTreeMap;
 
@@ -313,10 +441,7 @@ fn aggregate_select(
         }
         rows.push(row);
     }
-    QueryResult::Select {
-        vars: out_vars,
-        rows,
-    }
+    (out_vars, rows)
 }
 
 fn resolve(t: &TermOrVar, b: &Bindings) -> Option<Term> {
@@ -449,11 +574,11 @@ fn eval_bgp(
     input: Vec<Bindings>,
     deadline: &Deadline,
 ) -> Result<Vec<Bindings>, DeadlineExceeded> {
-    // Top-level BGPs (the hot path) run on the id-columnar engine: terms
-    // are interned once, the join works on `TermId` rows, and terms are
-    // cloned only when the surviving rows materialize back to bindings.
+    // Top-level BGPs run on the id-columnar engine: terms are interned
+    // once, the join works on `TermId` rows, and terms are cloned only
+    // when the joined rows materialize back to bindings.
     if input.len() == 1 && input[0].is_empty() && !triples.is_empty() {
-        return eval_bgp_ids(graph, triples, deadline);
+        return Ok(join_bgp_ids(graph, triples, deadline)?.into_bindings(graph));
     }
     // Input bindings also count as bound, conservatively using the first
     // solution's keys.
@@ -604,33 +729,88 @@ fn gallop(col: &[TermId], lo: usize, key: TermId, strict: bool) -> usize {
     base + 1 + col[base + 1..hi].partition_point(|&v| !past(v))
 }
 
-/// Id-columnar BGP evaluation: rows of `TermId` joined pattern-by-pattern
+/// The rows of an id-space BGP join, stored flat with one column per
+/// bound variable: row `i` is `ids[i * w..(i + 1) * w]` for
+/// `w = col_var.len()`, and column `c` binds `vars[col_var[c]]`.
+struct IdTable {
+    /// The BGP's variable names.
+    vars: Vec<String>,
+    /// Column → index into `vars`.
+    col_var: Vec<usize>,
+    rows: usize,
+    ids: Vec<TermId>,
+}
+
+impl IdTable {
+    fn row(&self, i: usize) -> &[TermId] {
+        let w = self.col_var.len();
+        &self.ids[i * w..(i + 1) * w]
+    }
+
+    /// The column binding `var`, if any.
+    fn column_of(&self, var: &str) -> Option<usize> {
+        let v = self.vars.iter().position(|x| x == var)?;
+        self.col_var.iter().position(|&cv| cv == v)
+    }
+
+    /// Every row as bindings of all its columns.
+    fn into_bindings(self, graph: &Graph) -> Vec<Bindings> {
+        (0..self.rows)
+            .map(|i| {
+                let mut b = Bindings::new();
+                for (&v, &id) in self.col_var.iter().zip(self.row(i)) {
+                    b.insert(self.vars[v].clone(), graph.term_of(id).clone());
+                }
+                b
+            })
+            .collect()
+    }
+}
+
+/// Id-columnar BGP join: flat rows of `TermId` joined pattern-by-pattern
 /// in plan order. Patterns joined through a bound object on a clean
 /// predicate run use a galloping sorted merge over the zero-copy POS
 /// slices; disconnected patterns scan once and cross; everything else
-/// falls back to per-row sorted index probes. Terms materialize once at
-/// the end.
-fn eval_bgp_ids(
+/// falls back to per-row sorted index probes. No term is touched; the
+/// caller decides which cells to materialize.
+fn join_bgp_ids(
     graph: &Graph,
     triples: &[TriplePattern],
     deadline: &Deadline,
-) -> Result<Vec<Bindings>, DeadlineExceeded> {
+) -> Result<IdTable, DeadlineExceeded> {
     let Some((pats, vars)) = lower_bgp(graph, triples) else {
-        return Ok(Vec::new()); // an unknown constant matches nothing
+        // An unknown constant matches nothing.
+        return Ok(IdTable {
+            vars: Vec::new(),
+            col_var: Vec::new(),
+            rows: 0,
+            ids: Vec::new(),
+        });
     };
     let order = {
         let _span = grdf_obs::span("query.plan");
         plan_ids(graph, &pats, vars.len())
     };
 
+    /// The output of one join step. Counted apart from `ids` because a
+    /// step that binds no variable emits zero-width rows.
+    #[derive(Default)]
+    struct FlatRows {
+        ids: Vec<TermId>,
+        rows: usize,
+    }
+
     let _span = grdf_obs::span("query.join");
-    // Column layout grows as patterns bind variables.
+    // Column layout grows as patterns bind variables; the join starts
+    // from one empty row.
     let mut col_of: Vec<Option<usize>> = vec![None; vars.len()];
     let mut col_var: Vec<usize> = Vec::new();
-    let mut rows: Vec<Vec<TermId>> = vec![Vec::new()];
+    let mut rows = 1;
+    let mut ids: Vec<TermId> = Vec::new();
 
     for pi in order {
         let pat = &pats[pi];
+        let width = col_var.len();
         // Resolve each position against the current column layout.
         #[derive(Clone, Copy)]
         enum P {
@@ -638,32 +818,26 @@ fn eval_bgp_ids(
             Bound(usize),
             New,
         }
-        let mut emits: Vec<(usize, Option<usize>)> = Vec::new(); // (component, check col)
+        // What each component contributes to an output row: a fresh
+        // column, or (for a variable repeated inside this pattern) an
+        // equality check against the column its first occurrence filled.
+        let mut emits: Vec<(usize, Option<usize>)> = Vec::new();
         let mut resolved = [P::New; 3];
         for (ci, slot) in pat.slots().into_iter().enumerate() {
             resolved[ci] = match slot {
                 Slot::Const(id) => P::Const(id),
-                Slot::Var(v) => {
-                    if let Some(c) = col_of[v] {
-                        P::Bound(c)
-                    } else {
-                        // First occurrence binds a fresh column; a repeat
-                        // inside the same pattern checks against it.
-                        let repeat = emits
-                            .iter()
-                            .find(|&&(c0, _)| matches!(pat.slots()[c0], Slot::Var(v0) if v0 == v));
-                        if let Some(&(c0, _)) = repeat {
-                            let col = col_var.len() + emits.iter().position(|e| e.0 == c0).unwrap();
-                            emits.push((ci, Some(col)));
-                        } else {
-                            col_of[v] = Some(
-                                col_var.len() + emits.iter().filter(|e| e.1.is_none()).count(),
-                            );
-                            emits.push((ci, None));
-                        }
+                Slot::Var(v) => match col_of[v] {
+                    Some(c) if c < width => P::Bound(c),
+                    Some(c) => {
+                        emits.push((ci, Some(c)));
                         P::New
                     }
-                }
+                    None => {
+                        col_of[v] = Some(width + emits.iter().filter(|e| e.1.is_none()).count());
+                        emits.push((ci, None));
+                        P::New
+                    }
+                },
             };
         }
         let probe = |row: &[TermId], ci: usize| -> Option<TermId> {
@@ -673,26 +847,27 @@ fn eval_bgp_ids(
                 P::New => None,
             }
         };
-        let emit_row =
-            |row: &[TermId], s: TermId, p: TermId, o: TermId, next: &mut Vec<Vec<TermId>>| {
-                let comp = [s, p, o];
-                let mut r = Vec::with_capacity(row.len() + emits.len());
-                r.extend_from_slice(row);
-                for &(ci, check) in &emits {
-                    match check {
-                        None => r.push(comp[ci]),
-                        Some(col) => {
-                            if r[col] != comp[ci] {
-                                return;
-                            }
+        let emit_row = |row: &[TermId], s: TermId, p: TermId, o: TermId, next: &mut FlatRows| {
+            let comp = [s, p, o];
+            let start = next.ids.len();
+            next.ids.extend_from_slice(row);
+            for &(ci, check) in &emits {
+                match check {
+                    None => next.ids.push(comp[ci]),
+                    Some(col) => {
+                        if next.ids[start + col] != comp[ci] {
+                            next.ids.truncate(start);
+                            return;
                         }
                     }
                 }
-                next.push(r);
-            };
+            }
+            next.rows += 1;
+        };
+        let row = |i: usize| &ids[i * width..(i + 1) * width];
 
         let bound_cols = resolved.iter().any(|p| matches!(p, P::Bound(_)));
-        let mut next: Vec<Vec<TermId>> = Vec::new();
+        let mut next = FlatRows::default();
 
         // Merge-join fast path: constant predicate with a clean run
         // slice, joined through the bound object column. Rows sort by
@@ -704,25 +879,25 @@ fn eval_bgp_ids(
             _ => None,
         };
         if let Some((pid, oc, objs, subs)) = merge {
-            let mut idx: Vec<usize> = (0..rows.len()).collect();
-            idx.sort_unstable_by_key(|&i| rows[i][oc]);
+            let mut idx: Vec<usize> = (0..rows).collect();
+            idx.sort_unstable_by_key(|&i| row(i)[oc]);
             let mut lo = 0;
             for (n, &i) in idx.iter().enumerate() {
                 if n % 1024 == 0 {
                     deadline.check()?;
                 }
-                let key = rows[i][oc];
+                let key = row(i)[oc];
                 lo = gallop(objs, lo, key, false);
                 let hi = gallop(objs, lo, key, true);
                 match resolved[0] {
                     P::New => {
                         for &s in &subs[lo..hi] {
-                            emit_row(&rows[i], s, pid, key, &mut next);
+                            emit_row(row(i), s, pid, key, &mut next);
                         }
                     }
                     P::Const(sid) => {
                         if subs[lo..hi].binary_search(&sid).is_ok() {
-                            emit_row(&rows[i], sid, pid, key, &mut next);
+                            emit_row(row(i), sid, pid, key, &mut next);
                         }
                     }
                     P::Bound(_) => unreachable!("excluded above"),
@@ -735,15 +910,15 @@ fn eval_bgp_ids(
                 P::Bound(c) => Some(c),
                 _ => None,
             });
-            let mut idx: Vec<usize> = (0..rows.len()).collect();
+            let mut idx: Vec<usize> = (0..rows).collect();
             if let Some(c) = sort_key {
-                idx.sort_unstable_by_key(|&i| rows[i][c]);
+                idx.sort_unstable_by_key(|&i| row(i)[c]);
             }
             for &i in &idx {
                 deadline.check()?;
-                let row = &rows[i];
-                graph.for_each_match_ids(probe(row, 0), probe(row, 1), probe(row, 2), |s, p, o| {
-                    emit_row(row, s, p, o, &mut next);
+                let r = row(i);
+                graph.for_each_match_ids(probe(r, 0), probe(r, 1), probe(r, 2), |s, p, o| {
+                    emit_row(r, s, p, o, &mut next);
                 });
             }
         } else {
@@ -754,10 +929,10 @@ fn eval_bgp_ids(
             graph.for_each_match_ids(probe(&[], 0), probe(&[], 1), probe(&[], 2), |s, p, o| {
                 matches.push((s, p, o));
             });
-            for row in &rows {
+            for i in 0..rows {
                 deadline.check()?;
                 for &(s, p, o) in &matches {
-                    emit_row(row, s, p, o, &mut next);
+                    emit_row(row(i), s, p, o, &mut next);
                 }
             }
         }
@@ -769,23 +944,20 @@ fn eval_bgp_ids(
                 }
             }
         }
-        rows = next;
-        if rows.is_empty() {
+        rows = next.rows;
+        ids = next.ids;
+        if rows == 0 {
             break;
         }
     }
 
-    grdf_obs::add("query.join.rows", rows.len() as u64);
-    Ok(rows
-        .into_iter()
-        .map(|r| {
-            col_var
-                .iter()
-                .zip(r)
-                .map(|(&v, id)| (vars[v].clone(), graph.term_of(id).clone()))
-                .collect()
-        })
-        .collect())
+    grdf_obs::add("query.join.rows", rows as u64);
+    Ok(IdTable {
+        vars,
+        col_var,
+        rows,
+        ids,
+    })
 }
 
 fn match_one(graph: &Graph, t: &TriplePattern, binding: &Bindings, out: &mut Vec<Bindings>) {
@@ -1363,6 +1535,47 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.select_rows().len(), 2);
+    }
+
+    /// Three subjects typed `urn:A`, one typed `urn:B`.
+    fn typed() -> Graph {
+        turtle::parse(
+            "<urn:s1> a <urn:A> . <urn:s2> a <urn:A> . <urn:s3> a <urn:A> . <urn:s4> a <urn:B> .",
+        )
+        .unwrap()
+    }
+
+    /// Row counts of `text` on the id-space path and on the bindings path.
+    fn row_counts(g: &Graph, text: &str) -> (usize, usize) {
+        let q = parse_query(text).unwrap();
+        let fast = execute_query(g, &q);
+        let reference = execute_query_on_bindings(g, &q, &Deadline::never()).unwrap();
+        assert_eq!(fast, reference, "{text}");
+        (fast.select_rows().len(), reference.select_rows().len())
+    }
+
+    #[test]
+    fn distinct_applies_before_limit() {
+        let counts = row_counts(&typed(), "SELECT DISTINCT ?t WHERE { ?s a ?t } LIMIT 2");
+        assert_eq!(counts, (2, 2));
+    }
+
+    #[test]
+    fn distinct_applies_before_offset() {
+        let counts = row_counts(&typed(), "SELECT DISTINCT ?t WHERE { ?s a ?t } OFFSET 1");
+        assert_eq!(counts, (1, 1));
+    }
+
+    #[test]
+    fn distinct_applies_before_slice_under_order_by() {
+        // ORDER BY keeps the query on the bindings path.
+        let r = execute(
+            &typed(),
+            "SELECT DISTINCT ?t WHERE { ?s a ?t } ORDER BY DESC(?t) OFFSET 1 LIMIT 1",
+        )
+        .unwrap();
+        assert_eq!(r.select_rows().len(), 1);
+        assert_eq!(r.select_rows()[0]["t"], Term::iri("urn:A"));
     }
 
     #[test]

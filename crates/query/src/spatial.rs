@@ -1,6 +1,8 @@
 //! Spatial evaluation support: extracting a feature's extent from its GRDF
 //! triples so the `grdf:*` filter builtins can run against the graph.
 
+use std::sync::LazyLock;
+
 use grdf_geometry::coord::parse_coord_list;
 use grdf_geometry::envelope::Envelope;
 use grdf_geometry::wkt;
@@ -8,28 +10,35 @@ use grdf_rdf::graph::Graph;
 use grdf_rdf::term::Term;
 use grdf_rdf::vocab::grdf as ns;
 
+/// The predicates a feature's extent is read from, built once rather
+/// than per candidate feature.
+static HAS_GEOMETRY: LazyLock<Term> = LazyLock::new(|| Term::iri(&ns::iri("hasGeometry")));
+static IS_BOUNDED_BY: LazyLock<Term> = LazyLock::new(|| Term::iri(&ns::iri("isBoundedBy")));
+static AS_WKT: LazyLock<Term> = LazyLock::new(|| Term::iri(&ns::iri("asWKT")));
+static COORDINATES: LazyLock<Term> = LazyLock::new(|| Term::iri(&ns::iri("coordinates")));
+
 /// Spatial extent of the feature `subject`, from (in priority order) its
 /// geometry node's WKT, the geometry node's coordinate list, or its
 /// `isBoundedBy` envelope.
 pub fn feature_envelope(graph: &Graph, subject: &Term) -> Option<Envelope> {
-    if let Some(gnode) = graph.object(subject, &Term::iri(&ns::iri("hasGeometry"))) {
+    if let Some(gnode) = graph.object(subject, &HAS_GEOMETRY) {
         if let Some(env) = node_envelope(graph, &gnode) {
             return Some(env);
         }
     }
-    let bnode = graph.object(subject, &Term::iri(&ns::iri("isBoundedBy")))?;
+    let bnode = graph.object(subject, &IS_BOUNDED_BY)?;
     node_envelope(graph, &bnode)
 }
 
 fn node_envelope(graph: &Graph, node: &Term) -> Option<Envelope> {
-    if let Some(w) = graph.object(node, &Term::iri(&ns::iri("asWKT"))) {
+    if let Some(w) = graph.object(node, &AS_WKT) {
         if let Some(g) = w.as_literal().and_then(|l| wkt::parse_wkt(l.lexical())) {
             if let Some(env) = g.envelope() {
                 return Some(env);
             }
         }
     }
-    let coords_text = graph.object(node, &Term::iri(&ns::iri("coordinates")))?;
+    let coords_text = graph.object(node, &COORDINATES)?;
     let coords = parse_coord_list(coords_text.as_literal()?.lexical(), 2)?;
     Envelope::of_coords(&coords)
 }

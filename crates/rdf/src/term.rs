@@ -4,7 +4,7 @@
 //! graphs additionally intern terms into dense ids (see [`crate::graph`]).
 
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use crate::vocab::xsd;
@@ -228,7 +228,9 @@ impl fmt::Display for Term {
             Term::Iri(i) => write!(f, "<{i}>"),
             Term::Blank(b) => write!(f, "_:{b}"),
             Term::Literal(l) => {
-                write!(f, "\"{}\"", escape_literal(l.lexical()))?;
+                f.write_char('"')?;
+                write_escaped_literal(f, l.lexical())?;
+                f.write_char('"')?;
                 if let Some(lang) = l.lang() {
                     write!(f, "@{lang}")
                 } else if l.datatype() != xsd::STRING {
@@ -244,17 +246,25 @@ impl fmt::Display for Term {
 /// Escape a literal lexical form for N-Triples/Turtle output.
 pub fn escape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
+    write_escaped_literal(&mut out, s).expect("writing to a String cannot fail");
     out
+}
+
+/// Write `s` escaped for N-Triples/Turtle output, unescaped runs whole.
+fn write_escaped_literal(w: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    let mut rest = s;
+    while let Some(i) = rest.find(['\\', '"', '\n', '\r', '\t']) {
+        w.write_str(&rest[..i])?;
+        w.write_str(match rest.as_bytes()[i] {
+            b'\\' => "\\\\",
+            b'"' => "\\\"",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            _ => "\\t",
+        })?;
+        rest = &rest[i + 1..];
+    }
+    w.write_str(rest)
 }
 
 /// Ordering for deterministic output: IRIs < blanks < literals, then lexical.

@@ -29,16 +29,6 @@ pub trait Clock: Send + Sync {
 
     /// Block (or simulate blocking) for `d`.
     fn sleep(&self, d: Duration);
-
-    /// Interruptible wait: like [`Clock::sleep`], but an implementation
-    /// may return early when the waiting thread is woken (e.g.
-    /// [`std::thread::Thread::unpark`]). Poll loops idle on `park`
-    /// instead of `sleep` so a shutdown (or a simulated world) can wake
-    /// them immediately rather than waiting out the interval. The
-    /// default delegates to `sleep`; [`SystemClock`] parks the thread.
-    fn park(&self, d: Duration) {
-        self.sleep(d);
-    }
 }
 
 /// The real wall clock, anchored at construction.
@@ -62,13 +52,6 @@ impl Clock for SystemClock {
 
     fn sleep(&self, d: Duration) {
         std::thread::sleep(d);
-    }
-
-    fn park(&self, d: Duration) {
-        // Wakeable (and tolerant of spurious wakeups — callers loop):
-        // `unpark` on the waiting thread ends the wait immediately, so an
-        // idle poll loop neither spins nor outlives a shutdown request.
-        std::thread::park_timeout(d);
     }
 }
 

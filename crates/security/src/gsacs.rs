@@ -178,16 +178,17 @@ const NIL: usize = usize::MAX;
 #[derive(Debug)]
 struct CacheNode {
     key: (String, String),
-    value: QueryResult,
+    value: Arc<QueryResult>,
     prev: usize,
     next: usize,
 }
 
 /// LRU query cache (Fig. 3 "Query Cache").
 ///
-/// The recency list is an intrusive doubly-linked list over a slab, so
-/// `get`/`put` are O(1) — a hot cache no longer pays an O(n) scan per
-/// touch.
+/// Entries are shared: a hit hands out another reference to the stored
+/// result, never a copy of its rows. The recency list is an intrusive
+/// doubly-linked list over a slab, so `get`/`put` are O(1) — a hot cache
+/// no longer pays an O(n) scan per touch.
 #[derive(Debug)]
 pub struct QueryCache {
     capacity: usize,
@@ -248,7 +249,7 @@ impl QueryCache {
     }
 
     /// Look up a cached result.
-    pub fn get(&mut self, role: &str, query: &str) -> Option<QueryResult> {
+    pub fn get(&mut self, role: &str, query: &str) -> Option<Arc<QueryResult>> {
         self.lookups += 1;
         if self.capacity == 0 {
             self.misses += 1;
@@ -259,13 +260,9 @@ impl QueryCache {
             self.hits += 1;
             self.unlink(idx);
             self.push_front(idx);
-            Some(
-                self.nodes[idx]
-                    .as_ref()
-                    .expect("hit node present")
-                    .value
-                    .clone(),
-            )
+            Some(Arc::clone(
+                &self.nodes[idx].as_ref().expect("hit node present").value,
+            ))
         } else {
             self.misses += 1;
             None
@@ -273,7 +270,7 @@ impl QueryCache {
     }
 
     /// Insert a result, evicting the least recently used entry if full.
-    pub fn put(&mut self, role: &str, query: &str, result: QueryResult) {
+    pub fn put(&mut self, role: &str, query: &str, result: Arc<QueryResult>) {
         if self.capacity == 0 {
             return;
         }
@@ -1045,8 +1042,9 @@ impl GSacs {
     /// Handle a client request: admission → cache lookup → secure view →
     /// deadline-bounded query. Fail-closed: every outcome, success or
     /// failure, produces exactly one audit entry, and no error path
-    /// returns data.
-    pub fn handle(&self, request: &ClientRequest) -> Result<QueryResult, GsacsError> {
+    /// returns data. The result is shared with the query cache: a miss
+    /// publishes it once, and a hit hands out another reference to it.
+    pub fn handle(&self, request: &ClientRequest) -> Result<Arc<QueryResult>, GsacsError> {
         self.handle_with_budget(request, Budget::UNLIMITED)
     }
 
@@ -1060,7 +1058,7 @@ impl GSacs {
         &self,
         request: &ClientRequest,
         budget: Budget,
-    ) -> Result<QueryResult, GsacsError> {
+    ) -> Result<Arc<QueryResult>, GsacsError> {
         let scope = self.obs.scope("gsacs.request");
         self.hot.requests.inc();
         // The HotCounters handles bypass the registry lookup *and* the
@@ -1101,7 +1099,7 @@ impl GSacs {
         &self,
         request: &ClientRequest,
         budget: Budget,
-    ) -> Result<QueryResult, GsacsError> {
+    ) -> Result<Arc<QueryResult>, GsacsError> {
         if let Some(m) = &self.lint_rejected {
             return Err(GsacsError::LintRejected(m.clone()));
         }
@@ -1143,10 +1141,11 @@ impl GSacs {
             }
         }
         self.inject(Stage::Query)?;
-        let result = execute_with_deadline(&view, &request.query, &deadline)?;
+        // Published once: the cache and the caller share this result.
+        let result = Arc::new(execute_with_deadline(&view, &request.query, &deadline)?);
         self.query_cache
             .lock()
-            .put(&request.role, &request.query, result.clone());
+            .put(&request.role, &request.query, Arc::clone(&result));
         Ok(result)
     }
 
@@ -1650,9 +1649,11 @@ mod tests {
             role: grdf::sec("Emergency"),
             query: chem_query(),
         };
+        let miss = svc.handle(&req).unwrap();
+        let hit = svc.handle(&req).unwrap();
         svc.handle(&req).unwrap();
-        svc.handle(&req).unwrap();
-        svc.handle(&req).unwrap();
+        // A hit shares the result the miss published; nothing is copied.
+        assert!(Arc::ptr_eq(&miss, &hit));
         let (hits, misses) = svc.cache_stats();
         assert_eq!(hits, 2);
         assert_eq!(misses, 1);
@@ -1676,10 +1677,10 @@ mod tests {
     #[test]
     fn lru_evicts_oldest() {
         let mut cache = QueryCache::new(2);
-        cache.put("r", "q1", QueryResult::Boolean(true));
-        cache.put("r", "q2", QueryResult::Boolean(true));
+        cache.put("r", "q1", Arc::new(QueryResult::Boolean(true)));
+        cache.put("r", "q2", Arc::new(QueryResult::Boolean(true)));
         assert!(cache.get("r", "q1").is_some()); // q1 now most recent
-        cache.put("r", "q3", QueryResult::Boolean(true)); // evicts q2
+        cache.put("r", "q3", Arc::new(QueryResult::Boolean(true))); // evicts q2
         assert!(cache.get("r", "q2").is_none());
         assert!(cache.get("r", "q1").is_some());
         assert!(cache.get("r", "q3").is_some());
@@ -1694,7 +1695,7 @@ mod tests {
         for i in 0..50 {
             let q = format!("q{}", i % 7);
             if cache.get("r", &q).is_none() {
-                cache.put("r", &q, QueryResult::Boolean(i % 2 == 0));
+                cache.put("r", &q, Arc::new(QueryResult::Boolean(i % 2 == 0)));
             }
             assert!(cache.len() <= 3);
         }
@@ -1706,7 +1707,7 @@ mod tests {
     #[test]
     fn cache_keys_include_role() {
         let mut cache = QueryCache::new(4);
-        cache.put("role-a", "q", QueryResult::Boolean(true));
+        cache.put("role-a", "q", Arc::new(QueryResult::Boolean(true)));
         assert!(
             cache.get("role-b", "q").is_none(),
             "another role must not see it"

@@ -368,20 +368,35 @@ pub fn reason(status: u16) -> &'static str {
 /// Escape `s` for inclusion in a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_json_into(&mut out, s);
     out
+}
+
+/// Append `s` to `out`, escaped for a JSON string literal. Runs that
+/// need no escape are copied whole.
+pub fn escape_json_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
 }
 
 #[cfg(test)]

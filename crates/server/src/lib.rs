@@ -8,8 +8,8 @@
 //!   backpressure hints.
 //! * [`server`] — the bounded worker pool: connection limits, socket
 //!   timeouts, deadline propagation into the engine, graceful drain.
-//! * [`transport`] — the [`Conn`]/[`Listener`] abstraction under the
-//!   codec and worker pool: real `TcpStream`s in production, in-memory
+//! * [`transport`] — the [`Conn`] abstraction under the codec and
+//!   worker pool: real `TcpStream`s in production, in-memory
 //!   [`SimConn`]s (partitions, stalls, torn writes) under deterministic
 //!   simulation.
 //! * [`chaos`] — the seeded socket-fault client that *proves* the above:
@@ -42,4 +42,4 @@ pub use chaos::{build_request, run_case, well_formed_response, ChaosFault, Chaos
 pub use http::{Request, Response};
 pub use quota::{QuotaConfig, TenantQuotas};
 pub use server::{GrdfServer, ServerConfig, ServerCore};
-pub use transport::{sim_conn, Conn, Listener, SimConn, SimLink};
+pub use transport::{sim_conn, Conn, SimConn, SimLink};

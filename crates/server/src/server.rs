@@ -16,6 +16,7 @@
 //!   completion; workers exit only once the queue is empty.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -26,14 +27,16 @@ use std::time::Duration;
 use grdf_obs::{Obs, SloEngine, SloStatus, TenantDim, TraceId};
 use grdf_query::eval::QueryResult;
 use grdf_rdf::ntriples;
+use grdf_rdf::term::Term;
+use grdf_rdf::vocab::xsd;
 use grdf_runtime::{system_clock, Budget, Clock, SeedTree};
 use grdf_security::gsacs::{ClientRequest, GSacs, UpdateOp, UpdateOutcome, UpdateRequest};
 use grdf_security::resilience::GsacsError;
 use parking_lot::RwLock;
 
-use crate::http::{escape_json, HttpConn, HttpError, Request, Response};
+use crate::http::{escape_json, escape_json_into, HttpConn, HttpError, Request, Response};
 use crate::quota::{QuotaConfig, TenantQuotas};
-use crate::transport::{Conn, Listener};
+use crate::transport::Conn;
 
 /// Server tuning. The defaults suit tests and small deployments; the CLI
 /// exposes the interesting ones as flags.
@@ -291,7 +294,6 @@ impl GrdfServer {
         cfg: ServerConfig,
     ) -> std::io::Result<GrdfServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
         let core = ServerCore::assemble(svc, cfg, addr.port().into());
@@ -355,9 +357,13 @@ impl GrdfServer {
         let shared = &self.core.shared;
         shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
-            // Wake the accept loop out of its poll park immediately.
-            h.thread().unpark();
-            let _ = h.join();
+            // The accept thread blocks in `accept`: one loopback connect
+            // wakes it, and it drops that connection unadmitted. Should
+            // the connect fail, the thread is left blocked rather than
+            // joined, so shutdown cannot hang.
+            if wake_accept(self.addr).is_ok() {
+                let _ = h.join();
+            }
         }
         shared.queue_signal.notify_all();
         for h in self.workers.drain(..) {
@@ -370,20 +376,37 @@ impl GrdfServer {
     }
 }
 
-/// Poll interval between accept attempts when the listener is idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Back-off after a failed `accept` (e.g. out of file descriptors), so a
+/// persistent error cannot spin the accept thread.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
-fn accept_loop(listener: &dyn Listener, shared: &Shared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.poll_accept() {
-            Ok(Some(conn)) => admit_conn(shared, conn),
-            // Idle (or transiently erroring) listener: park on the
-            // injected clock — a simulated run fast-forwards instead of
-            // burning wall time, and shutdown unparks us immediately
-            // instead of waiting out the interval.
-            Ok(None) | Err(_) => shared.cfg.clock.park(ACCEPT_POLL),
+/// Block in `accept` until shutdown. The shutdown flag is read after each
+/// accept returns, so the wake-up connection from [`GrdfServer::shutdown`]
+/// (or a client racing it) is dropped without being admitted.
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _peer)) => admit_conn(shared, Box::new(stream)),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
+}
+
+/// Connect once to the listener at `addr` to return its accept thread
+/// from `accept`. An unspecified bind address is reached over loopback.
+fn wake_accept(addr: SocketAddr) -> std::io::Result<()> {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    std::net::TcpStream::connect_timeout(&target, Duration::from_secs(1)).map(drop)
 }
 
 /// Queue the connection, or shed it fail-closed with `503 + Retry-After`
@@ -733,16 +756,29 @@ fn gsacs_error_response(e: &GsacsError) -> Response {
     }
 }
 
+/// Encode a query result as the `/query` JSON body in one pass: the body
+/// buffer is sized up front and every name and term is escaped straight
+/// into it.
 fn render_query_result(result: &QueryResult) -> String {
     match result {
         QueryResult::Select { vars, rows } => {
-            let mut out = String::from("{\"type\": \"select\", \"vars\": [");
+            // Cell text plus its quoting and separators; escapes may
+            // still grow the buffer, but plain results fit.
+            let cells: usize = rows
+                .iter()
+                .flatten()
+                .map(|(v, t)| v.len() + term_len(t) + 8)
+                .sum();
+            let size =
+                32 + vars.iter().map(|v| v.len() + 4).sum::<usize>() + 4 * rows.len() + cells;
+            let mut out = String::with_capacity(size);
+            out.push_str("{\"type\": \"select\", \"vars\": [");
             for (i, v) in vars.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
                 out.push('"');
-                out.push_str(&escape_json(v));
+                escape_json_into(&mut out, v);
                 out.push('"');
             }
             out.push_str("], \"rows\": [");
@@ -755,11 +791,12 @@ fn render_query_result(result: &QueryResult) -> String {
                     if j > 0 {
                         out.push_str(", ");
                     }
-                    out.push_str(&format!(
-                        "\"{}\": \"{}\"",
-                        escape_json(var),
-                        escape_json(&term.to_string())
-                    ));
+                    out.push('"');
+                    escape_json_into(&mut out, var);
+                    out.push_str("\": \"");
+                    write!(JsonEscaped(&mut out), "{term}")
+                        .expect("writing to a String cannot fail");
+                    out.push('"');
                 }
                 out.push('}');
             }
@@ -771,6 +808,33 @@ fn render_query_result(result: &QueryResult) -> String {
             "{{\"type\": \"graph\", \"ntriples\": \"{}\"}}",
             escape_json(&ntriples::serialize(g))
         ),
+    }
+}
+
+/// Length of `term`'s N-Triples form before escaping.
+fn term_len(term: &Term) -> usize {
+    match term {
+        Term::Iri(i) => i.len() + 2,
+        Term::Blank(b) => b.len() + 2,
+        Term::Literal(l) => {
+            let suffix = match l.lang() {
+                Some(lang) => lang.len() + 1,
+                None if l.datatype() == xsd::STRING => 0,
+                None => l.datatype().len() + 4,
+            };
+            l.lexical().len() + 2 + suffix
+        }
+    }
+}
+
+/// A `fmt::Write` sink that JSON-escapes what is written through it
+/// into the wrapped buffer, so a term's `Display` needs no temporary.
+struct JsonEscaped<'a>(&'a mut String);
+
+impl std::fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        escape_json_into(self.0, s);
+        Ok(())
     }
 }
 
@@ -832,5 +896,55 @@ fn sanitize_tenant(raw: &str) -> String {
         "public".to_string()
     } else {
         cleaned
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grdf_query::Bindings;
+
+    #[test]
+    fn one_pass_encoding_matches_per_cell_rendering() {
+        let terms = [
+            Term::iri("urn:a\"b"),
+            Term::blank("b0"),
+            Term::string("say \"hi\"\n\ttab\\ \u{1} é"),
+            Term::Literal(grdf_rdf::term::Literal::lang_string("x\ry", "en")),
+            Term::integer(42),
+        ];
+        let rows: Vec<Bindings> = terms
+            .iter()
+            .map(|t| {
+                [("v".to_string(), t.clone()), ("w\"".to_string(), t.clone())]
+                    .into_iter()
+                    .collect()
+            })
+            .collect();
+        let vars = vec!["v".to_string(), "w\"".to_string()];
+        // The per-cell form: each name and term rendered to a string,
+        // then escaped.
+        let cells: Vec<String> = rows
+            .iter()
+            .map(|row| {
+                let inner: Vec<String> = row
+                    .iter()
+                    .map(|(k, t)| {
+                        format!(
+                            "\"{}\": \"{}\"",
+                            escape_json(k),
+                            escape_json(&t.to_string())
+                        )
+                    })
+                    .collect();
+                format!("{{{}}}", inner.join(", "))
+            })
+            .collect();
+        let expected = format!(
+            "{{\"type\": \"select\", \"vars\": [\"v\", \"w\\\"\"], \"rows\": [{}]}}",
+            cells.join(", ")
+        );
+        let got = render_query_result(&QueryResult::Select { vars, rows });
+        assert_eq!(got, expected);
     }
 }

@@ -1,11 +1,11 @@
 //! The transport abstraction under the HTTP codec and worker pool.
 //!
-//! [`Conn`] and [`Listener`] are the only two surfaces the server needs
-//! from its transport, so the same codec, routing, keep-alive loop, and
-//! overload behavior run unchanged over:
+//! [`Conn`] is the only surface the worker pool needs from a connection,
+//! so the same codec, routing, keep-alive loop, and overload behavior run
+//! unchanged over:
 //!
-//! * real sockets — [`std::net::TcpStream`] / [`std::net::TcpListener`],
-//!   the production path; or
+//! * real sockets — [`std::net::TcpStream`]s from the server's blocking
+//!   accept thread, the production path; or
 //! * an in-memory [`SimConn`], the deterministic-simulation path: a
 //!   lock-shared byte duplex whose fault surface (partitions, stalls,
 //!   torn writes, reordered delivery) is driven by the simulated client
@@ -24,7 +24,7 @@
 //! | reordered delivery   | the client enqueues pipelined requests in a permuted order ([`SimLink::send`] is just bytes) |
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -45,26 +45,6 @@ impl Conn for TcpStream {
         let _ = self.set_read_timeout(Some(read_timeout));
         let _ = self.set_write_timeout(Some(write_timeout));
         let _ = self.set_nodelay(true);
-    }
-}
-
-/// A connection source the accept loop polls. Non-blocking by contract:
-/// `Ok(None)` means nothing pending right now (the loop parks on the
-/// injected clock between polls).
-pub trait Listener: Send {
-    /// Accept one pending connection, if any.
-    fn poll_accept(&self) -> io::Result<Option<Box<dyn Conn>>>;
-}
-
-/// The production listener. [`crate::GrdfServer::bind`] puts the socket
-/// into non-blocking mode so `accept` maps cleanly onto `poll_accept`.
-impl Listener for TcpListener {
-    fn poll_accept(&self) -> io::Result<Option<Box<dyn Conn>>> {
-        match self.accept() {
-            Ok((stream, _peer)) => Ok(Some(Box::new(stream))),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
     }
 }
 

@@ -267,3 +267,22 @@ fn shutdown_drains_connections_already_accepted() {
         "every accepted connection must be served to completion"
     );
 }
+
+#[test]
+fn idle_server_shuts_down_promptly_without_admitting_the_wake_up() {
+    // The accept thread blocks in `accept`; shutdown wakes it with one
+    // loopback connect that must not count as an accepted connection.
+    // The unspecified address is woken over loopback too.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = GrdfServer::bind(addr, service(), ServerConfig::default()).expect("bind");
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        let counts = server.shutdown();
+        let took = start.elapsed();
+        assert_eq!(counts, (0, 0), "{addr}");
+        assert!(
+            took < Duration::from_secs(1),
+            "{addr}: shutdown took {took:?}"
+        );
+    }
+}

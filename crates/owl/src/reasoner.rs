@@ -15,10 +15,7 @@
 //!   whole graph; each later pass joins only *delta × full*, where the
 //!   delta is exactly the triples the previous pass derived. The schema
 //!   index is maintained incrementally by absorbing each delta instead of
-//!   being re-collected, and the delta can be sharded across a scoped
-//!   worker pool ([`Reasoner::shards`]) with a deterministic shard-order
-//!   merge, so the result is the same triple set as the sequential and
-//!   naive engines.
+//!   being re-collected.
 //!
 //! The semi-naive engine also powers [`Reasoner::materialize_delta`]:
 //! given a generation marker from [`Graph::generation`], it derives the
@@ -38,7 +35,7 @@ use std::collections::{HashMap, HashSet};
 use grdf_rdf::graph::{Graph, TermId};
 use grdf_rdf::term::{Term, Triple};
 use grdf_rdf::vocab::{owl, rdf, rdfs};
-use grdf_runtime::{Deadline, DeadlineExceeded, ShardPool};
+use grdf_runtime::{Deadline, DeadlineExceeded};
 
 /// Statistics from one materialization run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -80,14 +77,6 @@ pub struct Reasoner {
     pub max_passes: usize,
     /// Evaluation strategy.
     pub strategy: Strategy,
-    /// Worker width for the semi-naive delta pass (1 = sequential). The
-    /// delta is split into contiguous shards and merged in shard order, so
-    /// any width yields the same triple set.
-    pub shards: usize,
-    /// Adaptive-sharding fallback: passes whose delta is smaller than
-    /// this run inline even when `shards > 1` (see
-    /// [`PARALLEL_THRESHOLD`], the default).
-    pub parallel_threshold: usize,
 }
 
 impl Default for Reasoner {
@@ -98,29 +87,11 @@ impl Default for Reasoner {
             restrictions: true,
             max_passes: 64,
             strategy: Strategy::SemiNaive,
-            shards: 1,
-            parallel_threshold: PARALLEL_THRESHOLD,
         }
     }
 }
 
-/// Below this many delta triples a pass runs inline even when
-/// [`Reasoner::shards`] asks for parallelism — thread setup plus the
-/// per-shard predicate sort would cost more than the pass itself. The
-/// predicate-grouped columnar pass pushed the break-even point far past
-/// the old per-triple dispatch's: on the BTree core, sharding the
-/// 1000×1000 E6 seed pass won 3× (78 ms vs 247 ms); on columnar runs the
-/// same pass is already ~20 ms serial and a 4-way shard measures 0.94–
-/// 1.02× of it — pure noise around a tie, with the setup/merge overhead
-/// no longer amortized. The break-even now sits above every recorded
-/// scenario (largest seed delta ~430 K), so the default threshold parks
-/// just past that: a parallel reasoner runs the identical inline pass on
-/// all of them instead of gambling a few percent on thread overhead.
-/// [`Reasoner::parallel_threshold`] overrides it (tests force tiny
-/// thresholds to exercise the sharded path).
-const PARALLEL_THRESHOLD: usize = 512 * 1024;
-
-/// How often each shard polls the request deadline.
+/// How often a delta pass polls the request deadline.
 const DEADLINE_POLL_STRIDE: usize = 256;
 
 /// How the semi-naive loop is seeded.
@@ -151,14 +122,6 @@ impl Reasoner {
         }
     }
 
-    /// Semi-naive engine with `shards` parallel delta workers.
-    pub fn parallel(shards: usize) -> Reasoner {
-        Reasoner {
-            shards: shards.max(1),
-            ..Reasoner::default()
-        }
-    }
-
     /// Materialize all entailments into `graph`; returns statistics.
     pub fn materialize(&self, graph: &mut Graph) -> ReasonerStats {
         self.materialize_with_deadline(graph, &Deadline::never())
@@ -166,8 +129,8 @@ impl Reasoner {
     }
 
     /// Materialize under a cooperative deadline, polled once per fixpoint
-    /// pass (and once per [`DEADLINE_POLL_STRIDE`] delta triples inside
-    /// each shard). On expiry the graph is left with whatever entailments
+    /// pass (and once per [`DEADLINE_POLL_STRIDE`] delta triples within
+    /// it). On expiry the graph is left with whatever entailments
     /// the completed passes added (each pass only adds sound inferences,
     /// so the graph stays consistent — merely under-materialized) and the
     /// caller decides how to degrade.
@@ -302,7 +265,7 @@ impl Reasoner {
         let (mut delta, mut triggers) = match seed {
             Seed::Full => {
                 // Seed straight off the POS columns: the bulk first pass
-                // arrives predicate-grouped, so the sharded rule pass
+                // arrives predicate-grouped, so the rule pass
                 // dispatches per group without re-sorting ~the whole
                 // graph. (Insertion order is irrelevant here — only
                 // incremental seeds are log slices.)
@@ -324,8 +287,6 @@ impl Reasoner {
                 (delta, triggers)
             }
         };
-        let pool = ShardPool::new(self.shards);
-        grdf_obs::gauge_set("reasoner.shards", pool.workers() as i64);
         // Restriction lookup tables depend only on the schema's
         // restriction list, which changes exactly when an absorb reports
         // dirty restrictions — rebuild them on that signal instead of
@@ -340,23 +301,9 @@ impl Reasoner {
             let span = grdf_obs::span("reasoner.pass")
                 .tag("pass", stats.passes)
                 .tag("delta", delta.len());
-            // Delta × full joins, sharded; merged in shard order so the
-            // proposal sequence is identical at any worker width.
-            let g: &Graph = graph;
-            let sharded: Vec<(Vec<IdTriple>, RuleCounts)> =
-                if pool.workers() > 1 && delta.len() >= self.parallel_threshold {
-                    pool.map_shards(&delta, |_, chunk| {
-                        self.delta_pass(g, &voc, &schema, &maps, chunk, deadline)
-                    })?
-                } else {
-                    vec![self.delta_pass(g, &voc, &schema, &maps, &delta, deadline)?]
-                };
-            let mut proposals: Vec<IdTriple> = Vec::new();
-            let mut counts = RuleCounts::default();
-            for (chunk_out, chunk_counts) in sharded {
-                proposals.extend(chunk_out);
-                counts.merge(&chunk_counts);
-            }
+            // Delta × full joins.
+            let (mut proposals, mut counts) =
+                self.delta_pass(graph, &voc, &schema, &maps, &delta, deadline)?;
 
             // Clique-global rules can't be expressed as a join against one
             // delta triple; they run sequentially in term space, gated by
@@ -403,13 +350,13 @@ impl Reasoner {
         }
     }
 
-    /// Apply every delta-aware rule variant to one shard of the delta.
+    /// Apply every delta-aware rule variant to the delta.
     /// Each delta triple is already *in* the graph, so joining it against
     /// the full graph also covers delta × delta pairs. Runs entirely in
     /// interned-id space.
     ///
-    /// The shard is processed as predicate-grouped column batches: the
-    /// chunk is sorted by predicate once, then each group pays for
+    /// The delta is processed as predicate-grouped column batches: it is
+    /// sorted by predicate once, then each group pays for
     /// vocabulary comparisons and the schema lookup exactly once, and a
     /// group whose predicate carries no rule at all — the common case on
     /// the bulk first pass, where most triples are plain data — is
@@ -420,19 +367,18 @@ impl Reasoner {
         voc: &Voc,
         s: &IdSchema,
         maps: &IdRestrictionMaps,
-        chunk: &[IdTriple],
+        delta: &[IdTriple],
         deadline: &Deadline,
     ) -> Result<(Vec<IdTriple>, RuleCounts), DeadlineExceeded> {
         let mut out: Vec<IdTriple> = Vec::new();
         let mut c = RuleCounts::default();
-        // Bulk seeds come off the POS index already grouped (and each
-        // shard of a grouped delta is itself grouped) — detect that with
-        // one linear scan and skip the copy + sort entirely.
+        // Bulk seeds come off the POS index already grouped — detect that
+        // with one linear scan and skip the copy + sort entirely.
         let owned: Vec<IdTriple>;
-        let sorted: &[IdTriple] = if chunk.windows(2).all(|w| w[0].1 <= w[1].1) {
-            chunk
+        let sorted: &[IdTriple] = if delta.windows(2).all(|w| w[0].1 <= w[1].1) {
+            delta
         } else {
-            let mut v = chunk.to_vec();
+            let mut v = delta.to_vec();
             v.sort_unstable_by_key(|&(_, p, _)| p);
             owned = v;
             &owned
@@ -460,7 +406,7 @@ impl Reasoner {
         Ok((out, c))
     }
 
-    /// One predicate group of a delta shard. `tp` is the group's shared
+    /// One predicate group of a delta. `tp` is the group's shared
     /// predicate; `group` are its `(s, tp, o)` triples.
     #[allow(clippy::cognitive_complexity, clippy::too_many_arguments)]
     fn delta_group(
@@ -792,29 +738,6 @@ impl RuleCounts {
             ("reasoner.rule.restrictions", self.restrictions),
             ("reasoner.rule.boolean_classes", self.boolean_classes),
         ]
-    }
-
-    fn merge(&mut self, other: &RuleCounts) {
-        for (mine, theirs) in [
-            (&mut self.subclass_transitivity, other.subclass_transitivity),
-            (&mut self.type_inheritance, other.type_inheritance),
-            (
-                &mut self.subproperty_transitivity,
-                other.subproperty_transitivity,
-            ),
-            (&mut self.property_inheritance, other.property_inheritance),
-            (&mut self.domain_range, other.domain_range),
-            (&mut self.equivalences, other.equivalences),
-            (&mut self.inverse, other.inverse),
-            (&mut self.symmetric, other.symmetric),
-            (&mut self.transitive, other.transitive),
-            (&mut self.functional, other.functional),
-            (&mut self.same_as, other.same_as),
-            (&mut self.restrictions, other.restrictions),
-            (&mut self.boolean_classes, other.boolean_classes),
-        ] {
-            *mine += theirs;
-        }
     }
 
     fn emit(&self) {
@@ -2245,7 +2168,7 @@ mod tests {
         assert!(g.has(&iri("urn:b"), &same, &iri("urn:a")));
     }
 
-    // ---- semi-naive / parallel / incremental engine tests ----
+    // ---- semi-naive / incremental engine tests ----
 
     /// A graph exercising every rule group at once.
     fn kitchen_sink() -> Graph {
@@ -2314,42 +2237,6 @@ mod tests {
         assert!(semi_stats.delta_sizes[1..]
             .iter()
             .all(|&d| d < semi_stats.delta_sizes[0]));
-    }
-
-    #[test]
-    fn parallel_matches_sequential_fixpoint() {
-        // A lowered threshold forces the sharded path to actually run;
-        // the default would fall back to the inline pass at this size.
-        fn big() -> Graph {
-            let mut g = kitchen_sink();
-            for i in 0..9000 {
-                g.add(
-                    iri(&format!("urn:t#n{i}")),
-                    iri("urn:t#touches"),
-                    iri(&format!("urn:t#n{}", i + 1)),
-                );
-                g.add(iri(&format!("urn:t#n{i}")), ty(), iri("urn:t#Lake"));
-            }
-            g
-        }
-        fn sharded(shards: usize) -> Reasoner {
-            Reasoner {
-                parallel_threshold: 1,
-                ..Reasoner::parallel(shards)
-            }
-        }
-        let mut seq = big();
-        let mut par = big();
-        assert!(big().len() >= sharded(4).parallel_threshold);
-        Reasoner::default().materialize(&mut seq);
-        sharded(4).materialize(&mut par);
-        assert_eq!(seq, par, "shard width must not change the fixpoint");
-        let par8 = {
-            let mut g = big();
-            sharded(8).materialize(&mut g);
-            g
-        };
-        assert_eq!(seq, par8);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! audited, internal failures deny rather than leak, the reasoning engine
 //! sits behind a circuit breaker, and when it is unavailable the service
 //! degrades to serving un-inferred data through conservative views.
+//! Every role's view comes from the [`LabelIr`] compiled over the served
+//! dataset ([`LabelIr::role_view`]), cached beside the views.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,12 +36,13 @@ use grdf_runtime::{Budget, Deadline};
 use grdf_store::{DurableStore, LoggedOp, Recovered, StorageBackend, StoreConfig, StoreError};
 use std::time::Duration;
 
+use crate::labels::{LabelIr, RoleHierarchy};
 use crate::policy::{DecisionTrace, Policy, PolicySet};
 use crate::resilience::{
     AdmissionGate, Durability, EngineError, GsacsError, HealthReport, LatencyHistogram, LintGate,
     ResilienceConfig, ResilientEngine, Stage,
 };
-use crate::views::{conservative_view_explained, secure_view_explained, ViewStats};
+use crate::views::ViewStats;
 
 /// The pluggable reasoning component (Fig. 3 "Reasoning engine").
 ///
@@ -472,14 +475,23 @@ pub struct AuditEntry {
     pub trace_id: TraceId,
 }
 
-/// Per-role view caches, guarded by one lock so concurrent first requests
-/// for the same role build its view exactly once.
+/// One role's cached view and what its build found.
+#[derive(Debug)]
+struct RoleView {
+    view: Arc<Graph>,
+    stats: ViewStats,
+    trace: DecisionTrace,
+}
+
+/// Per-role view caches and the label IR they are built from, guarded by
+/// one lock so concurrent first requests for the same role build its view
+/// (and the IR) exactly once.
 #[derive(Debug, Default)]
 struct ViewState {
-    views: HashMap<String, Arc<Graph>>,
-    stats: HashMap<String, ViewStats>,
-    /// Decision trace from each role's most recent view build.
-    traces: HashMap<String, DecisionTrace>,
+    /// Labels over the served dataset; `None` until a view build needs
+    /// them after a data change.
+    ir: Option<LabelIr>,
+    roles: HashMap<String, Arc<RoleView>>,
     /// Cumulative builds per role (survives invalidation).
     builds: HashMap<String, u64>,
 }
@@ -767,6 +779,7 @@ impl GSacs {
     /// Also runs the differential label verifier — label-filtered scans
     /// must equal materialized secure views for every role; a divergence
     /// under Enforce fails the service closed, under Flag it is audited.
+    /// The verified IR is kept for serving.
     fn lint_at_init(&mut self) {
         if self.config.lint_gate == LintGate::Off {
             return;
@@ -796,8 +809,9 @@ impl GSacs {
             return;
         }
         if !self.policies.policies.is_empty() {
-            let ir = crate::labels::LabelIr::compile(&self.data, &self.policies);
+            let ir = LabelIr::compile(&self.data, &self.policies);
             let divergences = ir.verify_label_equivalence(&self.data, &self.policies);
+            self.views.get_mut().ir = Some(ir);
             if !divergences.is_empty() {
                 let detail = format!(
                     "label/view divergence ({}): {}",
@@ -889,32 +903,39 @@ impl GSacs {
         self.degraded.load(Ordering::Acquire)
     }
 
-    /// The secure view for a role (cached). Concurrent first requests for
-    /// a role build its view once: the build happens under the cache lock.
+    /// The secure view for a role (cached), filtered from the served
+    /// dataset by its labels. Concurrent first requests for a role build
+    /// its view once: the build happens under the cache lock.
     pub fn view_for(&self, role: &str) -> Arc<Graph> {
+        Arc::clone(&self.role_view(role).view)
+    }
+
+    /// The cached [`RoleView`] of `role`, built on a miss — compiling the
+    /// labels first when a data change dropped them.
+    fn role_view(&self, role: &str) -> Arc<RoleView> {
         let mut state = self.views.lock();
-        if let Some(v) = state.views.get(role) {
+        let ViewState { ir, roles, builds } = &mut *state;
+        if let Some(v) = roles.get(role) {
             return Arc::clone(v);
         }
-        *state.builds.entry(role.to_string()).or_insert(0) += 1;
-        let (view, stats, mut trace) = if self.is_degraded() {
-            conservative_view_explained(&self.data, &self.policies, role)
-        } else {
-            secure_view_explained(&self.data, &self.policies, role)
-        };
+        *builds.entry(role.to_string()).or_insert(0) += 1;
+        let ir = ir.get_or_insert_with(|| LabelIr::compile(&self.data, &self.policies));
+        let (view, stats, mut trace) = ir.role_view(&self.data, role, self.is_degraded());
         trace.trace_id = grdf_obs::current_trace_id().unwrap_or(TraceId::NONE);
-        let view = Arc::new(view);
-        state.views.insert(role.to_string(), Arc::clone(&view));
-        state.stats.insert(role.to_string(), stats);
-        state.traces.insert(role.to_string(), trace);
-        view
+        let built = Arc::new(RoleView {
+            view: Arc::new(view),
+            stats,
+            trace,
+        });
+        roles.insert(role.to_string(), Arc::clone(&built));
+        built
     }
 
     /// The decision trace from a role's most recent view build: which
     /// policies were consulted, which permit/deny rules matched, and the
     /// inference steps that connected resources to policy targets.
     pub fn decision_trace_for(&self, role: &str) -> Option<DecisionTrace> {
-        self.views.lock().traces.get(role).cloned()
+        self.views.lock().roles.get(role).map(|v| v.trace.clone())
     }
 
     /// The service's observability context (metrics registry + trace
@@ -931,7 +952,7 @@ impl GSacs {
 
     /// View construction statistics for a role (if its view was built).
     pub fn view_stats_for(&self, role: &str) -> Option<ViewStats> {
-        self.views.lock().stats.get(role).copied()
+        self.views.lock().roles.get(role).map(|v| v.stats)
     }
 
     /// Cumulative number of times a role's view was (re)built.
@@ -1125,24 +1146,24 @@ impl GSacs {
         deadline
             .check()
             .map_err(|_| GsacsError::DeadlineExceeded { stage: Stage::View })?;
-        let view = self.view_for(&request.role);
+        let built = self.role_view(&request.role);
+        let view = &built.view;
         // Per-tenant cost accounting: the view is the candidate set the
         // query evaluator walks, so its size is the "triples scanned"
         // charge for this request.
         grdf_obs::win_add("gsacs.scanned", view.len() as u64);
         if grdf_obs::tracing_active() {
-            let span = grdf_obs::span("gsacs.decision");
-            if let Some(t) = self.decision_trace_for(&request.role) {
-                drop(
-                    span.tag("permitting", t.permitting.len())
-                        .tag("denying", t.denying.len())
-                        .tag("granted", t.granted),
-                );
-            }
+            let t = &built.trace;
+            drop(
+                grdf_obs::span("gsacs.decision")
+                    .tag("permitting", t.permitting.len())
+                    .tag("denying", t.denying.len())
+                    .tag("granted", t.granted),
+            );
         }
         self.inject(Stage::Query)?;
         // Published once: the cache and the caller share this result.
-        let result = Arc::new(execute_with_deadline(&view, &request.query, &deadline)?);
+        let result = Arc::new(execute_with_deadline(view, &request.query, &deadline)?);
         self.query_cache
             .lock()
             .put(&request.role, &request.query, Arc::clone(&result));
@@ -1320,6 +1341,7 @@ impl GSacs {
     fn apply_incremental(&mut self, ops: &[UpdateOp], budget: Budget) {
         let span = grdf_obs::span("gsacs.update.incremental").tag("engine", self.engine.name());
         let deadline = Deadline::armed(self.config.clock.clone(), budget);
+        self.views.get_mut().ir = None;
         let mark = self.data.generation();
         for op in ops {
             if let UpdateOp::Insert(t) = op {
@@ -1359,29 +1381,43 @@ impl GSacs {
     /// The roles whose secure views an additive delta can change, or
     /// `None` when every view must be rebuilt. A role is affected when a
     /// delta triple's subject is (or is typed as) a resource one of the
-    /// role's policies governs — permits can reveal the new triples, and
-    /// denies can newly suppress the subject's existing ones. Deltas that
-    /// touch RDFS/OWL vocabulary change the hierarchy the policy matcher
-    /// and view builder consult, so they invalidate everything.
+    /// role's effective policies governs — permits can reveal the new
+    /// triples, and denies can newly suppress the subject's existing ones.
+    /// Effective policies include every super-role's, so the sub-roles of
+    /// a matched policy's role are affected too. Deltas that touch
+    /// RDFS/OWL vocabulary or `sec:subRoleOf` change the class or role
+    /// hierarchy the labels are compiled from, so they invalidate
+    /// everything.
     fn affected_roles(&self, delta: &[Triple]) -> Option<HashSet<String>> {
         let ty = Term::iri(rdf::TYPE);
-        let mut roles = HashSet::new();
+        let sub_role_of = crate::labels::sub_role_of();
+        let mut matched = HashSet::new();
         for t in delta {
             let pred = t.predicate.as_iri()?;
-            if pred.starts_with(vocab_rdfs::NS) || pred.starts_with(vocab_owl::NS) {
+            if pred.starts_with(vocab_rdfs::NS)
+                || pred.starts_with(vocab_owl::NS)
+                || pred == sub_role_of
+            {
                 return None;
             }
             for policy in &self.policies.policies {
-                if roles.contains(&policy.role) {
+                if matched.contains(&policy.role) {
                     continue;
                 }
                 let resource = Term::iri(&policy.resource);
                 if t.subject == resource || self.data.has(&t.subject, &ty, &resource) {
-                    roles.insert(policy.role.clone());
+                    matched.insert(policy.role.clone());
                 }
             }
         }
-        Some(roles)
+        let hierarchy = RoleHierarchy::decode(&self.data);
+        let sub_roles: Vec<String> = hierarchy
+            .roles()
+            .into_iter()
+            .filter(|r| hierarchy.ancestors(r).iter().any(|a| matched.contains(a)))
+            .collect();
+        matched.extend(sub_roles);
+        Some(matched)
     }
 
     /// Selective cache invalidation: drop only the named roles' cached
@@ -1395,9 +1431,7 @@ impl GSacs {
         }
         let mut views = self.views.lock();
         for role in roles {
-            views.views.remove(role);
-            views.stats.remove(role);
-            views.traces.remove(role);
+            views.roles.remove(role);
         }
     }
 
@@ -1441,9 +1475,8 @@ impl GSacs {
     pub fn invalidate(&self) {
         self.query_cache.lock().invalidate();
         let mut views = self.views.lock();
-        views.views.clear();
-        views.stats.clear();
-        views.traces.clear();
+        views.ir = None;
+        views.roles.clear();
     }
 
     /// A point-in-time health snapshot. When objectives are declared in
@@ -1462,7 +1495,7 @@ impl GSacs {
         let (view_cache_entries, audit_entries, audit_dropped) = {
             let views = self.views.lock();
             let audit = self.audit.lock();
-            (views.views.len(), audit.len(), audit.dropped())
+            (views.roles.len(), audit.len(), audit.dropped())
         };
         HealthReport {
             reasoner: self.engine.name(),
@@ -2179,6 +2212,130 @@ mod tests {
             1,
             "selective invalidation must not evict unaffected roles"
         );
+    }
+
+    /// The §7.1 site plus a stream, `urn:intern sec:subRoleOf urn:staff`,
+    /// and `policies`, served through the OWL-Horst engine.
+    fn hierarchy_service(policies: Vec<Policy>) -> GSacs {
+        let mut data = Graph::new();
+        let mut site = Feature::new(&grdf::app("NTEnergy"), "ChemSite");
+        site.set_property("hasChemCode", "121NR");
+        encode_feature(&mut data, &site);
+        let mut stream = Feature::new(&grdf::app("WhiteRock"), "Stream");
+        stream.set_property("hasObjectID", 11070i64);
+        encode_feature(&mut data, &stream);
+        let mut roles = RoleHierarchy::new();
+        roles.add("urn:intern", "urn:staff");
+        roles.encode(&mut data);
+        GSacs::new(
+            OntoRepository::new(),
+            PolicySet::new(policies),
+            Box::<OwlHorstEngine>::default(),
+            data,
+            8,
+        )
+    }
+
+    fn rows(svc: &GSacs, role: &str, property: &str) -> usize {
+        let query = format!(
+            "PREFIX app: <{}>\nSELECT ?v WHERE {{ ?s app:{property} ?v }}",
+            grdf::APP_NS
+        );
+        svc.handle(&ClientRequest {
+            role: role.into(),
+            query,
+        })
+        .unwrap()
+        .select_rows()
+        .len()
+    }
+
+    #[test]
+    fn sub_role_inherits_super_role_deny() {
+        let svc = hierarchy_service(vec![
+            Policy::deny("urn:staff-deny", "urn:staff", &grdf::app("ChemSite")),
+            Policy::permit("urn:intern-permit", "urn:intern", &grdf::app("ChemSite")),
+        ]);
+        assert_eq!(
+            rows(&svc, "urn:intern", "hasChemCode"),
+            0,
+            "the inherited deny overrides the sub-role's own permit"
+        );
+        let trace = svc.decision_trace_for("urn:intern").unwrap();
+        assert_eq!(trace.consulted, ["urn:staff-deny", "urn:intern-permit"]);
+        assert_eq!(trace.denying, ["urn:staff-deny"]);
+        assert!(trace.permitting.is_empty());
+    }
+
+    #[test]
+    fn sub_role_sees_super_role_stream_through_inherited_permit() {
+        let svc = hierarchy_service(vec![
+            Policy::permit("urn:staff-streams", "urn:staff", &grdf::app("Stream")),
+            Policy::permit("urn:intern-sites", "urn:intern", &grdf::app("ChemSite")),
+        ]);
+        assert_eq!(rows(&svc, "urn:intern", "hasObjectID"), 1);
+        assert_eq!(rows(&svc, "urn:intern", "hasChemCode"), 1);
+        // Inheritance runs one way: the super-role gains nothing.
+        assert_eq!(rows(&svc, "urn:staff", "hasObjectID"), 1);
+        assert_eq!(rows(&svc, "urn:staff", "hasChemCode"), 0);
+    }
+
+    #[test]
+    fn insert_on_super_role_subject_rebuilds_sub_role_view() {
+        use grdf_rdf::term::{Term, Triple};
+        let mut svc = hierarchy_service(vec![
+            Policy::permit("urn:staff-sites", "urn:staff", &grdf::app("ChemSite")),
+            Policy::permit("urn:hydro-streams", "urn:hydro", &grdf::app("Stream")),
+            crate::policy::Policy {
+                action: crate::policy::Action::Edit,
+                ..Policy::permit("urn:editor-sites", "urn:editor", &grdf::app("ChemSite"))
+            },
+        ]);
+        for role in ["urn:intern", "urn:hydro"] {
+            svc.view_for(role);
+            assert_eq!(svc.view_builds_for(role), 1);
+        }
+        assert_eq!(rows(&svc, "urn:intern", "hasSiteName"), 0);
+        let out = svc.handle_update(&UpdateRequest {
+            role: "urn:editor".into(),
+            ops: vec![UpdateOp::Insert(Triple::new(
+                Term::iri(&grdf::app("NTEnergy")),
+                Term::iri(&grdf::app("hasSiteName")),
+                Term::string("North Texas Energy"),
+            ))],
+        });
+        assert_eq!(out, UpdateOutcome::Applied(1));
+        // The insert touches a subject only the super-role's policy
+        // governs; the sub-role inherits it, so its view is rebuilt…
+        assert_eq!(rows(&svc, "urn:intern", "hasSiteName"), 1);
+        assert_eq!(svc.view_builds_for("urn:intern"), 2);
+        // …while a role with no policy on the subject keeps its view.
+        svc.view_for("urn:hydro");
+        assert_eq!(svc.view_builds_for("urn:hydro"), 1);
+    }
+
+    #[test]
+    fn sub_role_edge_insert_invalidates_every_view() {
+        use grdf_rdf::term::{Term, Triple};
+        let mut svc = hierarchy_service(vec![
+            Policy::permit("urn:staff-sites", "urn:staff", &grdf::app("ChemSite")),
+            crate::policy::Policy {
+                action: crate::policy::Action::Edit,
+                ..Policy::permit("urn:editor-roles", "urn:editor", "urn:temp")
+            },
+        ]);
+        assert_eq!(rows(&svc, "urn:temp", "hasChemCode"), 0);
+        let out = svc.handle_update(&UpdateRequest {
+            role: "urn:editor".into(),
+            ops: vec![UpdateOp::Insert(Triple::new(
+                Term::iri("urn:temp"),
+                Term::iri(&crate::labels::sub_role_of()),
+                Term::iri("urn:staff"),
+            ))],
+        });
+        assert_eq!(out, UpdateOutcome::Applied(1));
+        assert_eq!(rows(&svc, "urn:temp", "hasChemCode"), 1);
+        assert_eq!(svc.view_builds_for("urn:temp"), 2);
     }
 
     #[test]

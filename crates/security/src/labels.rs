@@ -1,11 +1,14 @@
 //! Label-compilation IR and the whole-policy-set static analyzer.
 //!
-//! This is ROADMAP item 1's substrate: compile the List-8 policy set plus
-//! the role hierarchy (`sec:subRoleOf`) into per-triple visibility bitsets
-//! over the interned-id graph — the Accumulo/GeoMesa cell-level model.
-//! A session resolves its role(s) to an authorization bitset once
-//! ([`LabelIr::authorizations`]); every scan then filters with a single
-//! bitset intersection per triple, with zero per-role state.
+//! The List-8 policy set plus the role hierarchy (`sec:subRoleOf`)
+//! compile into per-triple visibility bitsets over the interned-id graph —
+//! the Accumulo/GeoMesa cell-level model. A session resolves its role(s)
+//! to an authorization bitset once ([`LabelIr::authorizations`]); a scan
+//! then filters with a single bitset intersection per triple.
+//!
+//! This is G-SACS's only read-enforcement path: [`LabelIr::role_view`]
+//! builds the view, its [`ViewStats`] and its [`DecisionTrace`] that the
+//! service serves to a role, healthy or degraded.
 //!
 //! Compilation resolves the *effective* policy set per role up front: a
 //! sub-role inherits every ancestor's policies and deny-overrides applies
@@ -41,8 +44,8 @@ use grdf_rdf::labels::{LabelColumn, TripleLabels, VisBitset};
 use grdf_rdf::term::{Term, Triple};
 use grdf_rdf::vocab::{grdf, owl, rdf, rdfs};
 
-use crate::policy::{Action, Condition, Decision, PolicySet};
-use crate::views::secure_view;
+use crate::policy::{Action, Condition, Decision, DecisionTrace, PolicySet};
+use crate::views::{secure_view, ViewStats};
 
 /// IRI of the role-hierarchy property: `(sub, sec:subRoleOf, super)`.
 /// A sub-role inherits every policy of its (transitive) super-roles.
@@ -231,6 +234,11 @@ pub struct CompiledPolicy {
     /// the graph, that satisfy every condition). `rdf:type` is always
     /// visible on matched subjects regardless.
     pub allowed: Option<BTreeSet<TermId>>,
+    /// The matches made through a strict subclass of the designator:
+    /// subject → the type (in the designator's subclass cone, not the
+    /// designator itself) that linked it. Decision traces report these as
+    /// inference steps.
+    pub via_subclass: BTreeMap<TermId, TermId>,
 }
 
 /// What one role's effective policies conclude about one subject.
@@ -282,6 +290,9 @@ pub struct LabelIr {
     /// non-OWL/RDFS class) and are not blank — the subjects secure views
     /// evaluate policies over.
     pub instance_subjects: BTreeSet<TermId>,
+    /// Triples with an IRI predicate about [`LabelIr::instance_subjects`]:
+    /// every triple a view grants or suppresses.
+    instance_triples: usize,
     /// designator IRI → subject-match cone (the designator plus its
     /// named-path subclass closure), for matching subjects that only
     /// appear in derived graphs.
@@ -417,12 +428,14 @@ impl LabelIr {
                     resource: p.resource.clone(),
                     matches: BTreeSet::new(),
                     allowed,
+                    via_subclass: BTreeMap::new(),
                 }
             })
             .collect();
 
         // Instance test and subject-match sets in one subject sweep.
         let mut instance_subjects: BTreeSet<TermId> = BTreeSet::new();
+        let mut instance_triples = 0;
         let type_term = Term::iri(rdf::TYPE);
         for subject in &all_subjects {
             let Some(sid) = data.term_id(subject) else {
@@ -435,14 +448,30 @@ impl LabelIr {
             });
             if is_instance && !subject.is_blank() {
                 instance_subjects.insert(sid);
+                data.for_each_match_ids(Some(sid), None, None, |_, p, _| {
+                    if data.term_of(p).as_iri().is_some() {
+                        instance_triples += 1;
+                    }
+                });
             }
             for (p, c) in policies.policies.iter().zip(compiled.iter_mut()) {
-                let hit = subject.as_iri() == Some(p.resource.as_str())
-                    || types
-                        .iter()
-                        .any(|t| cones.get(&p.resource).is_some_and(|cone| cone.contains(t)));
-                if hit {
+                if subject.as_iri() == Some(p.resource.as_str()) {
                     c.matches.insert(sid);
+                    continue;
+                }
+                // The first type inside the cone decides, as in the
+                // evaluator: the designator itself is a direct match, any
+                // other cone member a match through a strict subclass.
+                let Some(cone) = cones.get(&p.resource) else {
+                    continue;
+                };
+                if let Some(t) = types.iter().find(|t| cone.contains(*t)) {
+                    c.matches.insert(sid);
+                    if t.as_iri() != Some(p.resource.as_str()) {
+                        if let Some(tid) = data.term_id(t) {
+                            c.via_subclass.insert(sid, tid);
+                        }
+                    }
                 }
             }
         }
@@ -456,10 +485,11 @@ impl LabelIr {
             labels: TripleLabels::new(0, data.generation()),
             column: LabelColumn::default(),
             instance_subjects,
+            instance_triples,
             cones,
             type_id,
         };
-        ir.labels = ir.compile_labels(data, None);
+        ir.labels = ir.compile_labels(data);
         ir.column = ir.labels.to_column(data);
         ir
     }
@@ -536,18 +566,12 @@ impl LabelIr {
     /// subjects, then blank-subtree reachability propagation (granted
     /// object properties pull their helper subtrees per role, exactly as
     /// [`secure_view`] does).
-    fn compile_labels(&self, data: &Graph, only_role: Option<usize>) -> TripleLabels {
+    fn compile_labels(&self, data: &Graph) -> TripleLabels {
         let width = self.width();
         let mut triple_bits: BTreeMap<(TermId, TermId, TermId), VisBitset> = BTreeMap::new();
-        let bits_range: Vec<usize> = match only_role {
-            Some(b) => vec![b],
-            None => (0..width).collect(),
-        };
-
         for &sid in &self.instance_subjects {
-            let grants: Vec<(usize, SubjectGrant)> = bits_range
-                .iter()
-                .map(|&b| (b, self.subject_grant(sid, b, None)))
+            let grants: Vec<(usize, SubjectGrant)> = (0..width)
+                .map(|b| (b, self.subject_grant(sid, b, None)))
                 .filter(|(_, g)| g.any_permit && !g.denied)
                 .collect();
             if grants.is_empty() {
@@ -610,38 +634,161 @@ impl LabelIr {
         labels
     }
 
-    /// Scan-time filter: the subgraph of `data` visible under `auths`.
-    /// Proven equal to [`secure_view`] over the role's effective policy
-    /// set by [`LabelIr::verify_label_equivalence`].
-    #[must_use]
-    pub fn filtered_view(&self, data: &Graph, auths: &VisBitset) -> Graph {
+    /// The id-triples of `data` visible under `auths`, sorted by subject.
+    fn visible_ids(&self, data: &Graph, auths: &VisBitset) -> Vec<(TermId, TermId, TermId)> {
         // Columnar fast path: when `data` is still the graph the labels
         // were compiled against, the parallel column yields the visible
         // id-triples with one class intersection per label class and one
         // column load per scanned triple.
         if self.column.matches(data) {
-            let mut view = Graph::new();
-            let visible = self.column.visible_ids(data, auths);
-            view.extend_triples(visible.into_iter().map(|(s, p, o)| {
-                Triple::new(
-                    data.term_of(s).clone(),
-                    data.term_of(p).clone(),
-                    data.term_of(o).clone(),
-                )
-            }));
-            return view;
+            return self.column.visible_ids(data, auths);
         }
-        let mut view = Graph::new();
-        for (&(s, p, o), id) in self.labels.iter() {
-            if self.labels.class(id).is_some_and(|b| b.intersects(auths)) {
-                view.add(
-                    data.term_of(s).clone(),
-                    data.term_of(p).clone(),
-                    data.term_of(o).clone(),
+        self.labels
+            .iter()
+            .filter(|&(_, id)| self.labels.class(id).is_some_and(|b| b.intersects(auths)))
+            .map(|(&ids, _)| ids)
+            .collect()
+    }
+
+    /// Scan-time filter: the subgraph of `data` visible under `auths`.
+    /// Proven equal to [`secure_view`] over the role's effective policy
+    /// set by [`LabelIr::verify_label_equivalence`].
+    #[must_use]
+    pub fn filtered_view(&self, data: &Graph, auths: &VisBitset) -> Graph {
+        materialize_ids(data, &self.visible_ids(data, auths))
+    }
+
+    /// The view G-SACS serves `role`, with its statistics and decision
+    /// trace, from one pass over the labels of `data` (the graph the IR
+    /// was compiled from). The caller stamps the trace id.
+    ///
+    /// `degraded` means `data` is the un-inferred base: a role whose
+    /// effective policy set holds a Deny of any action then sees nothing,
+    /// since a deny may rely on missing entailments (one on a superclass
+    /// must catch instances typed only with a subclass). Permit-only roles
+    /// keep their labels, which are already conservative there: permits
+    /// that need inference do not fire. `tests/prop_labels.rs` proves this
+    /// equal to [`crate::views::conservative_view`].
+    #[must_use]
+    pub fn role_view(
+        &self,
+        data: &Graph,
+        role: &str,
+        degraded: bool,
+    ) -> (Graph, ViewStats, DecisionTrace) {
+        let _span = grdf_obs::span("view.build").tag("role", role);
+        let effective: Vec<&CompiledPolicy> = self
+            .role_bit(role)
+            .map(|b| {
+                self.effective[b]
+                    .iter()
+                    .map(|&i| &self.policies[i])
+                    .collect()
+            })
+            .unwrap_or_default();
+        let mut trace = DecisionTrace {
+            role: role.to_string(),
+            consulted: effective.iter().map(|c| c.id.clone()).collect(),
+            degraded,
+            ..DecisionTrace::default()
+        };
+        let denies = || effective.iter().filter(|c| c.decision == Decision::Deny);
+        if degraded && denies().next().is_some() {
+            grdf_obs::incr("view.conservative_empty");
+            trace.denying = denies().map(|c| c.id.clone()).collect();
+            trace.inference = vec![
+                "reasoner unavailable: deny policies may depend on missing entailments".to_string(),
+            ];
+            trace.suppressed = data.len();
+            let stats = ViewStats {
+                suppressed: data.len(),
+                ..ViewStats::default()
+            };
+            return (Graph::new(), stats, trace);
+        }
+
+        let ids = self.visible_ids(data, &self.authorizations(role));
+        // Direct grants are exactly the visible triples about instance
+        // subjects (never blank); the rest are pulled-in helper subtrees.
+        let mut granted: Vec<TermId> = ids
+            .iter()
+            .map(|&(s, _, _)| s)
+            .filter(|&s| !data.term_of(s).is_blank())
+            .collect();
+        trace.granted = granted.len();
+        trace.suppressed = self.instance_triples - trace.granted;
+        granted.dedup(); // `ids` are sorted by subject
+        let stats = ViewStats {
+            granted: trace.granted,
+            suppressed: trace.suppressed,
+            unmatched_subjects: self.instance_subjects.len() - granted.len(),
+        };
+        self.fill_trace(data, &effective, &mut trace);
+        grdf_obs::incr("view.builds");
+        grdf_obs::add("view.granted", stats.granted as u64);
+        grdf_obs::add("view.suppressed", stats.suppressed as u64);
+        (materialize_ids(data, &ids), stats, trace)
+    }
+
+    /// Fill `trace`'s `permitting`, `denying` and `inference` from a role's
+    /// `effective` policies. A View permit is listed when it grants a
+    /// visible triple: it designates an instance subject that no effective
+    /// View deny designates (that subject's `rdf:type` is then visible
+    /// through it). A View deny is listed when it designates an instance
+    /// subject. Both lists are in the order a subject-by-subject,
+    /// triple-by-triple scan meets them first; each inference step
+    /// (`"{type} rdfs:subClassOf* {designator}"`) names the subclass behind
+    /// such a match, once.
+    fn fill_trace(&self, data: &Graph, effective: &[&CompiledPolicy], trace: &mut DecisionTrace) {
+        let instance = |sid: &TermId| self.instance_subjects.contains(sid);
+        let view = || effective.iter().filter(|c| c.action == Action::View);
+        let denied: BTreeSet<TermId> = view()
+            .filter(|c| c.decision == Decision::Deny)
+            .flat_map(|c| c.matches.iter().copied().filter(|s| instance(s)))
+            .collect();
+        // (first subject, its first triple the policy decides, policy index)
+        let mut fired = Vec::new();
+        let mut steps = Vec::new();
+        for c in view() {
+            let deny = c.decision == Decision::Deny;
+            let counts = |sid: &TermId| instance(sid) && (deny || !denied.contains(sid));
+            let Some(&first) = c.matches.iter().find(|s| counts(s)) else {
+                continue;
+            };
+            let mut decided = Vec::new();
+            data.for_each_match_ids(Some(first), None, None, |_, p, _| {
+                decided.push(
+                    data.term_of(p).as_iri().is_some()
+                        && (deny
+                            || Some(p) == self.type_id
+                            || c.allowed.as_ref().is_none_or(|a| a.contains(&p))),
                 );
+            });
+            fired.push(((first, decided.iter().position(|&d| d), c.index), *c));
+            for (sid, ty) in c.via_subclass.iter().filter(|(s, _)| counts(s)) {
+                let ty = data.term_of(*ty).as_iri().unwrap_or("_");
+                steps.push((
+                    (*sid, c.index),
+                    format!("{ty} rdfs:subClassOf* {}", c.resource),
+                ));
             }
         }
-        view
+        fired.sort_by_key(|(k, _)| *k);
+        steps.sort_by_key(|(k, _)| *k);
+        for (_, c) in fired {
+            let list = match c.decision {
+                Decision::Permit => &mut trace.permitting,
+                Decision::Deny => &mut trace.denying,
+            };
+            if !list.contains(&c.id) {
+                list.push(c.id.clone());
+            }
+        }
+        for (_, step) in steps {
+            if !trace.inference.contains(&step) {
+                trace.inference.push(step);
+            }
+        }
     }
 
     /// The role's *effective* policy set: its own policies plus every
@@ -1146,6 +1293,19 @@ impl LabelIr {
             leak,
         }
     }
+}
+
+/// Copy the id-triples `ids` of `data` into a graph of their terms.
+fn materialize_ids(data: &Graph, ids: &[(TermId, TermId, TermId)]) -> Graph {
+    let mut view = Graph::new();
+    view.extend_triples(ids.iter().map(|&(s, p, o)| {
+        Triple::new(
+            data.term_of(s).clone(),
+            data.term_of(p).clone(),
+            data.term_of(o).clone(),
+        )
+    }));
+    view
 }
 
 fn decision_word(d: Decision) -> &'static str {

@@ -23,14 +23,15 @@
 //! * [`ontology`] — the `SecOnto` vocabulary as an OWL ontology.
 //! * [`policy`] — policies (native structs ⇄ List 8 RDF encoding) and the
 //!   semantics-aware evaluator.
-//! * [`views`] — middleware "layered views": filtering a merged graph down
-//!   to what a role may see.
+//! * [`views`] — middleware "layered views": the reference filters of a
+//!   merged graph down to what a role may see.
 //! * [`geoxacml`] — the object-level baseline comparator.
 //! * [`labels`] — the policy label compiler: List 8 policy sets + the
 //!   `sec:subRoleOf` hierarchy compiled to per-triple visibility bitsets,
 //!   with whole-set static analyses (S007–S010, including the OWL-Horst
 //!   entailment-leak pass) and a differential verifier proving the
-//!   label-filtered scan equals the materialized secure views.
+//!   label-filtered scan equals the materialized secure views. The labels
+//!   are the only path that decides what a served role reads.
 //! * [`gsacs`] — the Fig. 3 runtime: front-end, decision engine, LRU query
 //!   cache, pluggable [`gsacs::ReasoningEngine`], ontology repository.
 //! * [`resilience`] — the fail-closed service layer: unified error
@@ -39,7 +40,7 @@
 //!   a deterministic fault-injection harness.
 //!
 //! The whole stack is instrumented through `grdf_obs`: G-SACS runs each
-//! request inside an observability scope, secure-view builds produce
+//! request inside an observability scope, view builds produce
 //! [`policy::DecisionTrace`]s explaining which policies matched and why,
 //! and audit entries carry the request's `TraceId` so the log joins
 //! against exported spans.
@@ -62,12 +63,10 @@ pub use gsacs::{
     ReasoningEngine, UpdateOp, UpdateOutcome, UpdateRequest,
 };
 pub use labels::{CompiledPolicy, DesignatorIndex, Explanation, LabelIr, RoleHierarchy};
-pub use policy::{Action, Condition, Decision, DecisionTrace, Policy, PolicyMatch, PolicySet};
+pub use policy::{Action, Condition, Decision, DecisionTrace, Policy, PolicySet};
 pub use resilience::{
     AdmissionGate, BreakerConfig, BreakerState, Durability, EngineError, FaultInjector, FaultKind,
     FaultPlan, FaultyEngine, GsacsError, HealthReport, LatencyHistogram, LintGate, NoFaults,
     ResilienceConfig, ResilientEngine, RetryPolicy, Stage,
 };
-pub use views::{
-    conservative_view, conservative_view_explained, secure_view, secure_view_explained, ViewStats,
-};
+pub use views::{conservative_view, secure_view, ViewStats};

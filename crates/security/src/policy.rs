@@ -315,64 +315,6 @@ impl PolicySet {
         }
     }
 
-    /// Like [`PolicySet::evaluate`], but also reports *which* policies
-    /// applied and how — the raw material of a [`DecisionTrace`]. The
-    /// decision logic is identical (deny-wins, permit-with-conditions,
-    /// deny-by-default); only the bookkeeping differs, so the plain
-    /// evaluator stays allocation-free on the view-build hot path.
-    pub fn evaluate_explained(
-        &self,
-        data: &Graph,
-        role: &str,
-        resource: &Term,
-        property: &str,
-        action: Action,
-    ) -> (Access, Vec<PolicyMatch>) {
-        let h = Hierarchy::new(data);
-        let types = data.objects(resource, &Term::iri(rdf::TYPE));
-        let mut matches = Vec::new();
-        let mut permitted = false;
-        let mut applicable = false;
-        for p in self.for_role(role) {
-            if p.action != action {
-                continue;
-            }
-            let Some(inference) = Self::resource_match_basis(&h, p, resource, &types) else {
-                continue;
-            };
-            applicable = true;
-            match p.decision {
-                Decision::Deny => {
-                    matches.push(PolicyMatch {
-                        policy: p.id.clone(),
-                        decision: Decision::Deny,
-                        allowed: false,
-                        inference,
-                    });
-                    return (Access::Denied, matches);
-                }
-                Decision::Permit => {
-                    let allowed = Self::conditions_allow(data, p, property);
-                    permitted |= allowed;
-                    matches.push(PolicyMatch {
-                        policy: p.id.clone(),
-                        decision: Decision::Permit,
-                        allowed,
-                        inference,
-                    });
-                }
-            }
-        }
-        let access = if permitted {
-            Access::Granted
-        } else if applicable {
-            Access::Denied
-        } else {
-            Access::NotApplicable
-        };
-        (access, matches)
-    }
-
     /// Does the policy's resource designate this individual? Either the
     /// instance itself, or a class the individual belongs to — directly or
     /// via the subclass hierarchy (semantics-aware matching).
@@ -384,35 +326,6 @@ impl PolicySet {
         types
             .iter()
             .any(|t| t == &target || h.is_subclass_of(t, &target))
-    }
-
-    /// [`PolicySet::resource_matches`], additionally reporting *why* the
-    /// policy applied: `Some(None)` for an instance or direct-type match,
-    /// `Some(Some(step))` when the subclass hierarchy supplied the link,
-    /// `None` when the policy does not apply.
-    fn resource_match_basis(
-        h: &Hierarchy<'_>,
-        p: &Policy,
-        resource: &Term,
-        types: &[Term],
-    ) -> Option<Option<String>> {
-        if resource.as_iri() == Some(p.resource.as_str()) {
-            return Some(None);
-        }
-        let target = Term::iri(&p.resource);
-        for t in types {
-            if t == &target {
-                return Some(None);
-            }
-            if h.is_subclass_of(t, &target) {
-                return Some(Some(format!(
-                    "{} rdfs:subClassOf* {}",
-                    t.as_iri().unwrap_or("_"),
-                    p.resource
-                )));
-            }
-        }
-        None
     }
 
     /// Property conditions, semantics-aware: a listed property grants
@@ -434,38 +347,25 @@ impl PolicySet {
     }
 }
 
-/// One applicable policy's contribution to an access decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PolicyMatch {
-    /// Policy IRI.
-    pub policy: String,
-    /// The policy's effect.
-    pub decision: Decision,
-    /// For permits: whether its conditions passed for the property asked
-    /// about (a permit whose conditions failed suppresses nothing by
-    /// itself — deny-by-default does).
-    pub allowed: bool,
-    /// The inference step that made the policy applicable, when the
-    /// subclass hierarchy (not a direct type) supplied the link.
-    pub inference: Option<String>,
-}
-
 /// The structured explanation of one G-SACS access decision: which
 /// policies were consulted, which permitted or denied, and what inference
 /// steps connected data to policy — linked to the audit log by
-/// [`TraceId`]. Emitted when a role's secure view is built and stamped
-/// per request by the service.
+/// [`TraceId`]. Built from the compiled labels together with the role's
+/// view ([`crate::labels::LabelIr::role_view`]) and stamped by the
+/// service.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DecisionTrace {
     /// The id of the request whose view build produced this decision.
     pub trace_id: TraceId,
     /// The requesting role.
     pub role: String,
-    /// Every policy consulted for the role (id order preserved).
+    /// Every policy consulted for the role: its effective set (own plus
+    /// inherited through `sec:subRoleOf`), in source order.
     pub consulted: Vec<String>,
-    /// Permit policies that granted at least one triple.
+    /// View permits that granted at least one visible triple.
     pub permitting: Vec<String>,
-    /// Deny policies that fired at least once.
+    /// View denies that designate at least one instance subject (in
+    /// degraded mode: every deny that emptied the view).
     pub denying: Vec<String>,
     /// Distinct inference steps used to make policies applicable.
     pub inference: Vec<String>,

@@ -5,6 +5,8 @@
 //! [`secure_view`] filters a (merged, possibly materialized) graph down to
 //! the triples a role may see under a [`PolicySet`], keeping the subtrees
 //! (geometry nodes, envelope nodes) of granted properties reachable.
+//! It and [`conservative_view`] are the slow, obviously-right references
+//! the served label path ([`crate::labels`]) is tested against.
 
 use std::collections::HashSet;
 
@@ -14,7 +16,7 @@ use grdf_rdf::term::{Term, Triple};
 use grdf_rdf::vocab::grdf;
 use grdf_rdf::vocab::rdf;
 
-use crate::policy::{Access, Action, Decision, DecisionTrace, PolicySet};
+use crate::policy::{Access, Action, Decision, PolicySet};
 
 /// Statistics from building a view.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,45 +36,13 @@ pub struct ViewStats {
 /// Schema-level triples (subjects that are classes/properties — i.e. have
 /// no `rdf:type` linking them to application classes) are not copied; the
 /// view contains instance data only.
+///
+/// The reference the served labels are proven equal to
+/// ([`crate::labels::LabelIr::verify_label_equivalence`]).
 pub fn secure_view(data: &Graph, policies: &PolicySet, role: &str) -> (Graph, ViewStats) {
-    secure_view_inner(data, policies, role, None)
-}
-
-/// [`secure_view`] that additionally returns the [`DecisionTrace`] for
-/// the build: which policies were consulted, which permitted or denied
-/// triples, and the inference steps that made them applicable. The
-/// caller (G-SACS) stamps the trace id.
-pub fn secure_view_explained(
-    data: &Graph,
-    policies: &PolicySet,
-    role: &str,
-) -> (Graph, ViewStats, DecisionTrace) {
-    let mut trace = DecisionTrace {
-        role: role.to_string(),
-        consulted: policies
-            .for_role(role)
-            .iter()
-            .map(|p| p.id.clone())
-            .collect(),
-        ..DecisionTrace::default()
-    };
-    let (view, stats) = secure_view_inner(data, policies, role, Some(&mut trace));
-    trace.granted = stats.granted;
-    trace.suppressed = stats.suppressed;
-    (view, stats, trace)
-}
-
-fn secure_view_inner(
-    data: &Graph,
-    policies: &PolicySet,
-    role: &str,
-    mut trace: Option<&mut DecisionTrace>,
-) -> (Graph, ViewStats) {
-    let _span = grdf_obs::span("view.build").tag("role", role);
     let mut view = Graph::new();
     let mut stats = ViewStats::default();
     let mut included_objects: HashSet<Term> = HashSet::new();
-    let mut inference_seen: HashSet<String> = HashSet::new();
 
     for subject in data.all_subjects() {
         // Only instance subjects: those with at least one type that is not
@@ -98,35 +68,7 @@ fn secure_view_inner(
             let Some(pred) = t.predicate.as_iri() else {
                 continue;
             };
-            let access = match trace.as_deref_mut() {
-                None => policies.evaluate(data, role, &subject, pred, Action::View),
-                Some(rec) => {
-                    let (access, matches) =
-                        policies.evaluate_explained(data, role, &subject, pred, Action::View);
-                    for m in matches {
-                        let fired = match m.decision {
-                            Decision::Permit => m.allowed,
-                            Decision::Deny => true,
-                        };
-                        if fired {
-                            let bucket = match m.decision {
-                                Decision::Permit => &mut rec.permitting,
-                                Decision::Deny => &mut rec.denying,
-                            };
-                            if !bucket.contains(&m.policy) {
-                                bucket.push(m.policy);
-                            }
-                            if let Some(step) = m.inference {
-                                if inference_seen.insert(step.clone()) {
-                                    rec.inference.push(step);
-                                }
-                            }
-                        }
-                    }
-                    access
-                }
-            };
-            match access {
+            match policies.evaluate(data, role, &subject, pred, Action::View) {
                 Access::Granted => {
                     any_granted = true;
                     stats.granted += 1;
@@ -160,10 +102,6 @@ fn secure_view_inner(
             view.insert(Triple::new(t.subject, t.predicate, t.object));
         }
     }
-
-    grdf_obs::incr("view.builds");
-    grdf_obs::add("view.granted", stats.granted as u64);
-    grdf_obs::add("view.suppressed", stats.suppressed as u64);
     (view, stats)
 }
 
@@ -177,52 +115,18 @@ fn secure_view_inner(
 /// [`secure_view`] over the un-inferred graph, which is already
 /// conservative — permits that need inference simply do not fire, and
 /// deny-by-default suppresses the rest.
+///
+/// The reference for degraded serving ([`crate::labels::LabelIr::role_view`]).
 pub fn conservative_view(data: &Graph, policies: &PolicySet, role: &str) -> (Graph, ViewStats) {
-    let (view, stats, _) = conservative_view_explained(data, policies, role);
-    (view, stats)
-}
-
-/// [`conservative_view`] with its [`DecisionTrace`]; the trace is marked
-/// degraded and, for deny-bearing roles, names the deny policies that
-/// forced the empty view.
-pub fn conservative_view_explained(
-    data: &Graph,
-    policies: &PolicySet,
-    role: &str,
-) -> (Graph, ViewStats, DecisionTrace) {
-    let denies: Vec<String> = policies
-        .for_role(role)
-        .iter()
-        .filter(|p| p.decision == Decision::Deny)
-        .map(|p| p.id.clone())
-        .collect();
-    if !denies.is_empty() {
-        grdf_obs::incr("view.conservative_empty");
+    let for_role = policies.for_role(role);
+    if for_role.iter().any(|p| p.decision == Decision::Deny) {
         let stats = ViewStats {
-            granted: 0,
             suppressed: data.len(),
-            unmatched_subjects: 0,
+            ..ViewStats::default()
         };
-        let trace = DecisionTrace {
-            role: role.to_string(),
-            consulted: policies
-                .for_role(role)
-                .iter()
-                .map(|p| p.id.clone())
-                .collect(),
-            denying: denies,
-            inference: vec![
-                "reasoner unavailable: deny policies may depend on missing entailments".to_string(),
-            ],
-            suppressed: stats.suppressed,
-            degraded: true,
-            ..DecisionTrace::default()
-        };
-        return (Graph::new(), stats, trace);
+        return (Graph::new(), stats);
     }
-    let (view, stats, mut trace) = secure_view_explained(data, policies, role);
-    trace.degraded = true;
-    (view, stats, trace)
+    secure_view(data, policies, role)
 }
 
 /// Convenience: is the literal/IRI value of `(subject, property)` visible

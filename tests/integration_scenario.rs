@@ -406,3 +406,126 @@ fn every_instrumented_stage_emits_spans() {
     assert!(json.lines().count() >= trace.spans.len());
     assert!(json.contains(&trace.id.to_string()));
 }
+
+/// The served E6 roles, built from the labels, against the reference: each
+/// view equals `secure_view` triple for triple, its `ViewStats` equal the
+/// reference's, and the decision traces list the policies the triple-by-
+/// triple reference build reported, in the same order.
+#[test]
+fn served_views_stats_and_traces_match_the_reference_for_e6_roles() {
+    use grdf::security::views::secure_view;
+    use grdf::workload::incident::{incident_store, roles, scenario_policies};
+
+    let store = incident_store(20, 20, 7);
+    let policies = scenario_policies();
+    let svc = GSacs::new(
+        OntoRepository::new(),
+        policies.clone(),
+        Box::<OwlHorstEngine>::default(),
+        store.graph().clone(),
+        16,
+    );
+    let sec = |names: &[&str]| -> Vec<String> { names.iter().map(|n| ns::sec(n)).collect() };
+    let expected = [
+        (
+            roles::main_repair(),
+            sec(&["MainRepPolicy1", "MainRepPolicy2"]),
+            sec(&["MainRepPolicy2", "MainRepPolicy1"]),
+        ),
+        (
+            roles::hazmat(),
+            sec(&["HazmatPolicy1", "HazmatPolicy2", "HazmatPolicy3"]),
+            sec(&["HazmatPolicy3", "HazmatPolicy2", "HazmatPolicy1"]),
+        ),
+        (
+            roles::emergency(),
+            sec(&["EmPolicy1", "EmPolicy2", "EmPolicy3"]),
+            sec(&["EmPolicy3", "EmPolicy2", "EmPolicy1"]),
+        ),
+    ];
+    for (role, consulted, permitting) in expected {
+        let view = svc.view_for(&role);
+        let (reference, reference_stats) = secure_view(svc.dataset(), &policies, &role);
+        assert_eq!(*view, reference, "{role}: served view");
+        assert_eq!(svc.view_stats_for(&role), Some(reference_stats), "{role}");
+        let trace = svc.decision_trace_for(&role).expect("view built");
+        assert_eq!(trace.consulted, consulted, "{role}");
+        assert_eq!(trace.permitting, permitting, "{role}");
+        assert!(trace.denying.is_empty(), "{role}: {:?}", trace.denying);
+        assert!(trace.inference.is_empty(), "{role}: {:?}", trace.inference);
+        assert_eq!(
+            (trace.granted, trace.suppressed),
+            (reference_stats.granted, reference_stats.suppressed)
+        );
+        assert!(!trace.degraded);
+    }
+}
+
+/// Degraded serving of the §7.1 scenario goes through the same label path:
+/// with the reasoner down, each served role's view and statistics equal
+/// `conservative_view` over the un-inferred data and the role's effective
+/// policy set. A role with a Deny, and a sub-role that inherits it over its
+/// own permit, read nothing; the other roles still read their asserted
+/// data.
+#[test]
+fn degraded_service_serves_conservative_views_through_the_role_hierarchy() {
+    use std::sync::Arc;
+
+    use grdf::runtime::ManualClock;
+    use grdf::security::labels::{LabelIr, RoleHierarchy};
+    use grdf::security::resilience::{FaultPlan, FaultyEngine, ResilienceConfig};
+    use grdf::security::views::conservative_view;
+    use grdf::workload::incident::{incident_store, roles, scenario_policies};
+
+    let trainee = ns::sec("Trainee");
+    let mut data = incident_store(20, 20, 7).graph().clone();
+    let mut hierarchy = RoleHierarchy::new();
+    hierarchy.add(&trainee, &roles::hazmat());
+    hierarchy.encode(&mut data);
+    let mut policies = scenario_policies();
+    policies.push(Policy::deny(
+        &ns::sec("HazmatDeny"),
+        &roles::hazmat(),
+        &ns::app("Depot"),
+    ));
+    // The trainee's own permit would show it the streams; the inherited
+    // deny must win.
+    policies.push(Policy::permit(
+        &ns::sec("TraineeStreams"),
+        &trainee,
+        &ns::app("Stream"),
+    ));
+
+    let clock = Arc::new(ManualClock::new());
+    let plan = Arc::new(FaultPlan::new(11, 1.0, 0.0, std::time::Duration::ZERO));
+    let engine = FaultyEngine::new(Box::<OwlHorstEngine>::default(), plan, clock.clone());
+    let svc = GSacs::with_resilience(
+        OntoRepository::new(),
+        policies.clone(),
+        Box::new(engine),
+        data.clone(),
+        16,
+        ResilienceConfig {
+            clock,
+            ..ResilienceConfig::default()
+        },
+    );
+    assert!(svc.is_degraded());
+    assert_eq!(*svc.dataset(), data, "degraded mode serves the base graph");
+
+    let ir = LabelIr::compile(&data, &policies);
+    for (role, readable) in [
+        (roles::main_repair(), true),
+        (roles::emergency(), true),
+        (roles::hazmat(), false),
+        (trainee.clone(), false),
+    ] {
+        let effective = ir.effective_policy_set(&policies, &role);
+        let (reference, reference_stats) = conservative_view(&data, &effective, &role);
+        let view = svc.view_for(&role);
+        assert_eq!(*view, reference, "{role}: degraded view");
+        assert_eq!(svc.view_stats_for(&role), Some(reference_stats), "{role}");
+        assert_eq!(!view.is_empty(), readable, "{role}");
+        assert!(svc.decision_trace_for(&role).expect("view built").degraded);
+    }
+}

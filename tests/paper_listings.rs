@@ -387,14 +387,39 @@ fn list8_main_repair_policy() {
     );
 }
 
+/// Serve `data` un-inferred (no reasoning engine, so subclass links stay
+/// inference steps rather than materialized types) and return `role`'s
+/// view, view statistics and decision trace as G-SACS built them.
+fn served_view(
+    data: grdf::rdf::Graph,
+    policies: grdf::security::policy::PolicySet,
+    role: &str,
+) -> (
+    std::sync::Arc<grdf::rdf::Graph>,
+    grdf::security::ViewStats,
+    grdf::security::DecisionTrace,
+) {
+    use grdf::security::gsacs::{GSacs, NoReasoning, OntoRepository};
+    let svc = GSacs::new(
+        OntoRepository::new(),
+        policies,
+        Box::new(NoReasoning),
+        data,
+        4,
+    );
+    let view = svc.view_for(role);
+    let stats = svc.view_stats_for(role).expect("view built");
+    let trace = svc.decision_trace_for(role).expect("view built");
+    (view, stats, trace)
+}
+
 /// List 3's class, secured: a permit on the superclass must reach
 /// `EnvelopeWithTimePeriod` instances through subclass inference, and the
-/// decision trace must name both the permitting policy and the inference
-/// step that connected them.
+/// served decision trace must name both the permitting policy and the
+/// inference step that connected them.
 #[test]
 fn list3_decision_trace_explains_subclass_permit() {
     use grdf::security::policy::PolicySet;
-    use grdf::security::secure_view_explained;
 
     let xml = r#"<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
                           xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
@@ -422,7 +447,7 @@ fn list3_decision_trace_explains_subclass_permit() {
         "urn:test#Analyst",
         "http://grdf.org/ontology#Envelope",
     )]);
-    let (view, stats, trace) = secure_view_explained(&g, &policies, "urn:test#Analyst");
+    let (view, stats, trace) = served_view(g, policies, "urn:test#Analyst");
     assert!(stats.granted > 0, "subclass instances must be visible");
     assert!(!view.is_empty());
     assert!(
@@ -444,11 +469,11 @@ fn list3_decision_trace_explains_subclass_permit() {
 
 /// List 4's curve family, secured: a deny on `Curve` must reach
 /// `CompositeCurve` instances through the same inference, deny-wins over
-/// an instance-level permit, and the trace must name the denying policy.
+/// an instance-level permit, and the served trace must name the denying
+/// policy.
 #[test]
 fn list4_decision_trace_explains_deny_wins() {
     use grdf::security::policy::PolicySet;
-    use grdf::security::secure_view_explained;
 
     let xml = r#"<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
                           xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
@@ -484,7 +509,7 @@ fn list4_decision_trace_explains_deny_wins() {
             "http://grdf.org/ontology#Curve",
         ),
     ]);
-    let (view, stats, trace) = secure_view_explained(&g, &policies, "urn:test#Surveyor");
+    let (view, stats, trace) = served_view(g, policies, "urn:test#Surveyor");
     assert!(
         !view
             .match_pattern(Some(&iri("urn:test#c1")), None, None)

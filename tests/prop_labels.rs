@@ -3,7 +3,10 @@
 //! `grdf::security::views::secure_view` — on every lint-corpus graph, on
 //! the §7.1 three-role incident scenario (where the GeoXACML
 //! object-level contrast must also reproduce), and on seeded random
-//! policy sets over random OWL schemas.
+//! policy sets over random OWL schemas. The view G-SACS serves
+//! (`LabelIr::role_view`) must match the reference's statistics too, and
+//! its degraded form must equal `conservative_view` over un-inferred
+//! graphs.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -17,7 +20,7 @@ use grdf::rdf::vocab::{grdf as ns, rdfs};
 use grdf::rdf::Graph;
 use grdf::security::labels::{LabelIr, RoleHierarchy};
 use grdf::security::policy::{Policy, PolicySet};
-use grdf::security::views::view_property_count;
+use grdf::security::views::{conservative_view, secure_view, view_property_count};
 use grdf::workload::incident::{incident_store, roles, scenario_policies, xacml_policies};
 
 const TYPES: &[&str] = &["ChemSite", "Stream", "ChemInfo", "Depot"];
@@ -28,7 +31,8 @@ const PROPS: &[&str] = &[
     "hasObjectID",
 ];
 
-/// Every role's label-filtered view must equal its effective secure view.
+/// Every role's label-filtered view must equal its effective secure view,
+/// and the served view and its statistics the reference's.
 fn assert_equivalent(data: &Graph, policies: &PolicySet, context: &str) {
     let ir = LabelIr::compile(data, policies);
     let divergences = ir.verify_label_equivalence(data, policies);
@@ -38,6 +42,24 @@ fn assert_equivalent(data: &Graph, policies: &PolicySet, context: &str) {
         divergences.len(),
         divergences[0]
     );
+    for role in &ir.roles {
+        let (view, stats, _) = ir.role_view(data, role, false);
+        let reference = secure_view(data, &ir.effective_policy_set(policies, role), role);
+        assert_eq!((view, stats), reference, "{context}: role {role}");
+    }
+}
+
+/// Degraded serving over the un-inferred `data`: every role's served view
+/// and statistics must equal `conservative_view` over its effective
+/// policy set.
+fn assert_conservative_equivalent(data: &Graph, policies: &PolicySet, context: &str) {
+    let ir = LabelIr::compile(data, policies);
+    for role in &ir.roles {
+        let (view, stats, trace) = ir.role_view(data, role, true);
+        let reference = conservative_view(data, &ir.effective_policy_set(policies, role), role);
+        assert_eq!((view, stats), reference, "{context}: degraded role {role}");
+        assert!(trace.degraded);
+    }
 }
 
 #[test]
@@ -69,11 +91,10 @@ fn label_equivalence_holds_on_every_corpus_graph() {
         if policies.is_empty() {
             continue;
         }
-        assert_equivalent(
-            &graph,
-            &PolicySet::new(policies),
-            &path.display().to_string(),
-        );
+        let policies = PolicySet::new(policies);
+        let context = path.display().to_string();
+        assert_equivalent(&graph, &policies, &context);
+        assert_conservative_equivalent(&graph, &policies, &context);
         checked += 1;
     }
     assert!(checked >= 8, "corpus supplies enough policy-bearing graphs");
@@ -82,8 +103,9 @@ fn label_equivalence_holds_on_every_corpus_graph() {
 #[test]
 fn scenario_three_roles_equivalent_with_geoxacml_contrast() {
     let mut store = incident_store(20, 20, 7);
-    store.materialize();
     let ps = scenario_policies();
+    assert_conservative_equivalent(store.graph(), &ps, "un-inferred scenario");
+    store.materialize();
     let ir = LabelIr::compile(store.graph(), &ps);
     let divergences = ir.verify_label_equivalence(store.graph(), &ps);
     assert!(divergences.is_empty(), "{divergences:?}");
@@ -223,14 +245,16 @@ proptest! {
             rh.add(&role_b, &role_a);
             rh.encode(&mut data);
         }
-        if materialize {
-            Reasoner::default().materialize(&mut data);
-        }
         let mut policies = build_policies(&role_a, 0, &rules_a);
         policies.extend(build_policies(&role_b, 1, &rules_b));
         if policies.is_empty() {
             return Ok(());
         }
-        assert_equivalent(&data, &PolicySet::new(policies), "random case");
+        let policies = PolicySet::new(policies);
+        assert_conservative_equivalent(&data, &policies, "random case");
+        if materialize {
+            Reasoner::default().materialize(&mut data);
+        }
+        assert_equivalent(&data, &policies, "random case");
     }
 }
